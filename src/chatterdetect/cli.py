@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -60,6 +61,30 @@ def _rpm_list(text: str):
     return values
 
 
+def _checked(convert, ok, what: str):
+    """An argparse type: `convert`, then reject values for which `ok` fails,
+    so out-of-range numbers are usage errors rather than tracebacks."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_count = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a non-negative number")
+_fraction = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+_lines = _checked(int, lambda v: v >= 2, "an integer of at least 2")
+
+
 def _scan_config(argv):
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
@@ -89,7 +114,10 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
         dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
         if dest in overrides:
             convert = kwargs.get("type", str)
-            kwargs["default"] = convert(overrides[dest])
+            try:
+                kwargs["default"] = convert(overrides[dest])
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ChatterError(f"config value for {dest}: {exc}") from None
             kwargs.pop("required", None)
         parser.add_argument(*flags, **kwargs)
 
@@ -110,22 +138,23 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
     p = sub.add_parser("extract", help="build a frame dataset from a corpus")
     add(p, "--in", dest="in_dir", required=True, help="corpus directory")
     add(p, "--out", required=True, help="dataset output directory")
-    add(p, "--hop", type=float, default=defaults.HOP_S, help="frame hop in seconds")
-    add(p, "--window", type=float, default=defaults.WINDOW_S, help="frame window in seconds")
-    add(p, "--lines", type=int, default=defaults.N_LINES, help="spectral lines")
-    add(p, "--fmax", type=float, default=defaults.F_MAX_HZ, help="band upper edge in Hz")
-    add(p, "--crop-db", type=float, default=defaults.CROP_DB, help="dB crop below the frame maximum")
+    add(p, "--hop", type=_positive, default=defaults.HOP_S, help="frame hop in seconds")
+    add(p, "--window", type=_positive, default=defaults.WINDOW_S, help="frame window in seconds")
+    add(p, "--lines", type=_lines, default=defaults.N_LINES, help="spectral lines")
+    add(p, "--fmax", type=_positive, default=defaults.F_MAX_HZ, help="band upper edge in Hz")
+    add(p, "--crop-db", type=_positive, default=defaults.CROP_DB,
+        help="dB crop below the frame maximum")
     add(p, "--seed", type=int, default=0, help="split shuffle seed")
-    add(p, "--test-frac", type=float, default=defaults.TEST_FRACTION)
+    add(p, "--test-frac", type=_fraction, default=defaults.TEST_FRACTION)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train the classifier")
     add(p, "--data", required=True, help="dataset directory")
     add(p, "--out", required=True, help="model output file")
-    add(p, "--batch", type=int, default=defaults.BATCH_SIZE)
-    add(p, "--lr", type=float, default=defaults.LEARNING_RATE)
-    add(p, "--epochs", type=int, default=defaults.EPOCHS)
-    add(p, "--dropout", type=float, default=defaults.DROPOUT_RATE)
+    add(p, "--batch", type=_positive_int, default=defaults.BATCH_SIZE)
+    add(p, "--lr", type=_non_negative, default=defaults.LEARNING_RATE)
+    add(p, "--epochs", type=_count, default=defaults.EPOCHS)
+    add(p, "--dropout", type=_fraction, default=defaults.DROPOUT_RATE)
     add(p, "--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 

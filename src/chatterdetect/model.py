@@ -6,13 +6,22 @@ relu -> maxpool4 -> flatten -> dense 128 -> relu -> dropout -> dense 64
 cross-entropy; weights are float32, and gradient verification runs on a
 float64 clone.
 
+All weights live in one flat vector, ``ClassifierModel.flat``, in the
+order ``parameters()`` lists them; each layer's ``w`` and ``b`` are views
+into it. The model file's weight section is that vector's bytes, and an
+RMSprop step is one in-place pass over it, a flat gradient vector and a
+flat cache.
+
 Layers keep no per-call state: callers that need backprop pass a context
 dict per layer, so inference on a shared model is safe from any number
-of threads.
+of threads. A ``train`` call makes one list of contexts and reuses it for
+every step; the contexts of weighted layers hold views into that call's
+flat gradient vector, which their backward passes overwrite in place.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -41,8 +50,10 @@ class Hyperparameters:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and non-negative")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must lie in [0, 1)")
 
@@ -63,14 +74,16 @@ class EpochStats:
 
 
 class Conv1D:
-    """Valid (no padding), stride-1 convolution over (batch, length, channels)."""
+    """Valid (no padding), stride-1 convolution over (batch, length, channels).
+
+    A context holding ``skip_dx`` makes backward return None instead of the
+    input gradient: the first layer's is never read."""
 
     params = ("w", "b")
 
-    def __init__(self, c_in: int, c_out: int, k: int, dtype=np.float32):
+    def __init__(self, c_in: int, c_out: int, k: int):
         self.c_in, self.c_out, self.k = c_in, c_out, k
-        self.w = np.zeros((c_in * k, c_out), dtype=dtype)
-        self.b = np.zeros(c_out, dtype=dtype)
+        self.shapes = ((c_in * k, c_out), (c_out,))
 
     def forward(self, x, ctx=None, **_):
         batch, length, _ = x.shape
@@ -81,13 +94,20 @@ class Conv1D:
         if ctx is not None:
             ctx["patches"] = patches
             ctx["x_shape"] = x.shape
-        return patches @ self.w + self.b
+        y = patches @ self.w
+        y += self.b
+        return y
 
     def backward(self, dy, ctx):
         patches = ctx["patches"]
         batch, l_out, _ = dy.shape
-        ctx["dw"] = patches.reshape(-1, patches.shape[-1]).T @ dy.reshape(-1, self.c_out)
-        ctx["db"] = dy.sum(axis=(0, 1))
+        ctx["dw"] = np.matmul(
+            patches.reshape(-1, patches.shape[-1]).T, dy.reshape(-1, self.c_out),
+            out=ctx.get("dw"),
+        )
+        ctx["db"] = np.sum(dy, axis=(0, 1), out=ctx.get("db"))
+        if ctx.get("skip_dx"):
+            return None
         dpatches = (dy @ self.w.T).reshape(batch, l_out, self.c_in, self.k)
         dx = np.zeros(ctx["x_shape"], dtype=dy.dtype)
         for kk in range(self.k):
@@ -96,7 +116,7 @@ class Conv1D:
 
 
 class ReLU:
-    params = ()
+    params = shapes = ()
 
     def forward(self, x, ctx=None, **_):
         if ctx is not None:
@@ -108,9 +128,12 @@ class ReLU:
 
 
 class MaxPool1D:
-    """Non-overlapping max pooling; a trailing partial window is dropped."""
+    """Non-overlapping max pooling; a trailing partial window is dropped.
 
-    params = ()
+    Training records a mask of the first maximum in each window (argmax's
+    tie rule), so the gradient reaches exactly one input per output."""
+
+    params = shapes = ()
 
     def __init__(self, width: int):
         self.width = width
@@ -119,23 +142,31 @@ class MaxPool1D:
         batch, length, channels = x.shape
         l_out = length // self.width
         xt = x[:, : l_out * self.width, :].reshape(batch, l_out, self.width, channels)
+        y = xt[:, :, 0, :].copy()
+        for k in range(1, self.width):
+            np.maximum(y, xt[:, :, k, :], out=y)
         if ctx is not None:
-            ctx["argmax"] = xt.argmax(axis=2)
+            mask = xt == y[:, :, None, :]
+            seen = mask[:, :, 0, :]
+            for k in range(1, self.width):
+                # for booleans a > b is a and not b: drop maxima after the first
+                np.greater(mask[:, :, k, :], seen, out=mask[:, :, k, :])
+                if k + 1 < self.width:
+                    seen = seen | mask[:, :, k, :]
+            ctx["mask"] = mask
             ctx["x_shape"] = x.shape
-        return xt.max(axis=2)
+        return y
 
     def backward(self, dy, ctx):
-        batch, length, channels = ctx["x_shape"]
-        l_out = length // self.width
-        dxt = np.zeros((batch, l_out, self.width, channels), dtype=dy.dtype)
-        np.put_along_axis(dxt, ctx["argmax"][:, :, None, :], dy[:, :, None, :], axis=2)
-        dx = np.zeros((batch, length, channels), dtype=dy.dtype)
-        dx[:, : l_out * self.width, :] = dxt.reshape(batch, l_out * self.width, channels)
+        mask = ctx["mask"]
+        batch, l_out, width, channels = mask.shape
+        dx = np.zeros(ctx["x_shape"], dtype=dy.dtype)
+        np.copyto(dx[:, : l_out * width, :].reshape(mask.shape), dy[:, :, None, :], where=mask)
         return dx
 
 
 class Flatten:
-    params = ()
+    params = shapes = ()
 
     def forward(self, x, ctx=None, **_):
         if ctx is not None:
@@ -149,27 +180,29 @@ class Flatten:
 class Dense:
     params = ("w", "b")
 
-    def __init__(self, n_in: int, n_out: int, dtype=np.float32):
+    def __init__(self, n_in: int, n_out: int):
         self.n_in, self.n_out = n_in, n_out
-        self.w = np.zeros((n_in, n_out), dtype=dtype)
-        self.b = np.zeros(n_out, dtype=dtype)
+        self.shapes = ((n_in, n_out), (n_out,))
 
     def forward(self, x, ctx=None, **_):
         if ctx is not None:
             ctx["x"] = x
-        return x @ self.w + self.b
+        y = x @ self.w
+        y += self.b
+        return y
 
     def backward(self, dy, ctx):
-        ctx["dw"] = ctx["x"].T @ dy
-        ctx["db"] = dy.sum(axis=0)
-        return dy @ self.w.T
+        ctx["dw"] = np.matmul(ctx["x"].T, dy, out=ctx.get("dw"))
+        ctx["db"] = np.sum(dy, axis=0, out=ctx.get("db"))
+        # bit-equal to dy @ w.T, and the faster GEMM orientation for small batches
+        return (self.w @ dy.T).T
 
 
 class Dropout:
     """Inverted dropout: kept activations are rescaled at train time, so
     inference needs no adjustment and stays deterministic."""
 
-    params = ()
+    params = shapes = ()
 
     def __init__(self, rate: float):
         self.rate = rate
@@ -193,7 +226,11 @@ class Dropout:
 class ClassifierModel:
     """Layer stack plus everything needed to train it reproducibly."""
 
-    def __init__(self, layers, seed: int, input_floor_db: float = -defaults.CROP_DB):
+    def __init__(
+        self, layers, seed: int, input_floor_db: float = -defaults.CROP_DB, flat=None
+    ):
+        """Binds every layer's parameters to views into `flat` (zeros of
+        float32 if None), which must hold exactly that many values."""
         self.layers = layers
         self.seed = seed
         self.n_inputs = defaults.N_LINES
@@ -201,11 +238,17 @@ class ClassifierModel:
         self.input_floor_db = input_floor_db
         self.training_log: list[EpochStats] = []
         self.rng = np.random.default_rng(seed)
-        self.rms_cache: dict[tuple[int, str], np.ndarray] = {}
+        if flat is None:
+            flat = np.zeros(_parameter_total(layers), dtype=np.float32)
+        self.flat = flat
+        for i, name, view in _parameter_views(layers, flat):
+            setattr(layers[i], name, view)
+        # RMSprop's running mean square, parallel to `flat`; made by train
+        self.rms_cache: np.ndarray | None = None
 
     @property
     def dtype(self):
-        return self.parameters()[0][2].dtype
+        return self.flat.dtype
 
     def parameters(self):
         """[(layer_index, name, array)] in a fixed, serialization-stable order."""
@@ -216,7 +259,7 @@ class ClassifierModel:
         return out
 
     def parameter_count(self) -> int:
-        return sum(p.size for _, _, p in self.parameters())
+        return self.flat.size
 
     def clone(self, dtype=None) -> "ClassifierModel":
         """Structural copy; optionally casts the weights (float64 for checks)."""
@@ -234,11 +277,25 @@ class ClassifierModel:
                 copy = ReLU()
             else:
                 copy = Flatten()
-            for name in layer.params:
-                value = getattr(layer, name)
-                setattr(copy, name, value.astype(dtype) if dtype else value.copy())
             layers.append(copy)
-        return ClassifierModel(layers, self.seed, self.input_floor_db)
+        flat = self.flat.astype(dtype or self.flat.dtype)
+        return ClassifierModel(layers, self.seed, self.input_floor_db, flat)
+
+
+def _parameter_total(layers) -> int:
+    return sum(math.prod(shape) for layer in layers for shape in layer.shapes)
+
+
+def _parameter_views(layers, vec):
+    """[(layer_index, name, view)]: consecutive slices of the flat vector
+    `vec`, shaped like each layer's parameters, in `parameters()` order."""
+    out, pos = [], 0
+    for i, layer in enumerate(layers):
+        for name, shape in zip(layer.params, layer.shapes):
+            size = math.prod(shape)
+            out.append((i, name, vec[pos : pos + size].reshape(shape)))
+            pos += size
+    return out
 
 
 def build_model(seed: int, dropout_rate: float = defaults.DROPOUT_RATE) -> ClassifierModel:
@@ -249,33 +306,20 @@ def build_model(seed: int, dropout_rate: float = defaults.DROPOUT_RATE) -> Class
         limit = np.sqrt(6.0 / fan_in)
         return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
-    length, channels = defaults.N_LINES, 1
-    conv1 = Conv1D(channels, 16, 7)
-    conv1.w = he_uniform(conv1.w.shape, channels * 7)
-    length, channels = length - 7 + 1, 16
-    length //= 4
-    conv2 = Conv1D(channels, 32, 5)
-    conv2.w = he_uniform(conv2.w.shape, channels * 5)
-    length, channels = length - 5 + 1, 32
-    length //= 4
-    n_flat = length * channels
-
-    dense1 = Dense(n_flat, 128)
-    dense1.w = he_uniform(dense1.w.shape, n_flat)
-    dense2 = Dense(128, 64)
-    dense2.w = he_uniform(dense2.w.shape, 128)
-    dense3 = Dense(64, defaults.N_CLASSES)
-    dense3.w = he_uniform(dense3.w.shape, 64)
-
+    length = ((defaults.N_LINES - 7 + 1) // 4 - 5 + 1) // 4
     layers = [
-        conv1, ReLU(), MaxPool1D(4),
-        conv2, ReLU(), MaxPool1D(4),
+        Conv1D(1, 16, 7), ReLU(), MaxPool1D(4),
+        Conv1D(16, 32, 5), ReLU(), MaxPool1D(4),
         Flatten(),
-        dense1, ReLU(), Dropout(dropout_rate),
-        dense2, ReLU(),
-        dense3,
+        Dense(length * 32, 128), ReLU(), Dropout(dropout_rate),
+        Dense(128, 64), ReLU(),
+        Dense(64, defaults.N_CLASSES),
     ]
     model = ClassifierModel(layers, seed)
+    for layer in layers:
+        if "w" in layer.params:
+            # a weight matrix's rows are its fan-in: c_in * k, or n_in
+            layer.w[...] = he_uniform(layer.w.shape, layer.w.shape[0])
     model.rng = rng  # dropout continues the init stream
     return model
 
@@ -355,11 +399,17 @@ def train(
         if isinstance(layer, Dropout):
             layer.rate = hp.dropout_rate
 
-    params = model.parameters()
-    for i, name, p in params:
-        cache = model.rms_cache.get((i, name))
-        if cache is None or cache.shape != p.shape or cache.dtype != p.dtype:
-            model.rms_cache[(i, name)] = np.zeros_like(p)
+    flat = model.flat
+    cache = model.rms_cache
+    if cache is None or cache.shape != flat.shape or cache.dtype != flat.dtype:
+        model.rms_cache = cache = np.zeros_like(flat)
+    grads = np.zeros_like(flat)
+    scratch = _rmsprop_scratch(flat)
+    # one context per layer for the whole call; backward fills `grads`
+    ctxs = [{} for _ in model.layers]
+    for i, name, view in _parameter_views(model.layers, grads):
+        ctxs[i]["d" + name] = view
+    ctxs[0]["skip_dx"] = True
 
     shuffle_rng = np.random.default_rng(hp.rng_seed)
     best_acc, best_params = -1.0, None
@@ -370,7 +420,6 @@ def train(
         for start in range(0, n, hp.batch_size):
             idx = order[start : start + hp.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            ctxs = [{} for _ in model.layers]
             probs = _forward_batch(model, xb, training=True, ctxs=ctxs)
 
             rows = np.arange(len(yb))
@@ -378,18 +427,12 @@ def train(
             epoch_loss += float(-np.log(np.maximum(p_true, 1e-12)).sum())
             epoch_correct += int((probs.argmax(axis=1) == yb).sum())
 
-            grad = probs.copy()
+            grad = probs  # the softmax output is not read again
             grad[rows, yb] -= 1.0
             grad /= len(yb)  # mean gradient over the batch
             for layer, ctx in zip(reversed(model.layers), reversed(ctxs)):
                 grad = layer.backward(grad, ctx)
-
-            for (i, name, p), ctx in zip(params, _param_ctxs(model.layers, ctxs)):
-                g = ctx["d" + name]
-                cache = model.rms_cache[(i, name)]
-                cache *= hp.rho
-                cache += (1.0 - hp.rho) * g * g
-                p -= hp.learning_rate * g / (np.sqrt(cache) + hp.epsilon)
+            _rmsprop_step(flat, grads, cache, scratch, hp)
 
         val_loss, val_acc = _eval_arrays(model, x_val, y_val)
         model.training_log.append(
@@ -397,19 +440,46 @@ def train(
         )
         if val_acc > best_acc:
             best_acc = val_acc
-            best_params = [p.copy() for _, _, p in params]
+            best_params = flat.copy()
 
     if best_params is not None:
-        for (_, _, p), saved in zip(params, best_params):
-            p[...] = saved
+        flat[...] = best_params
     return model
 
 
-def _param_ctxs(layers, ctxs):
-    out = []
-    for layer, ctx in zip(layers, ctxs):
-        out.extend(ctx for _ in layer.params)
-    return out
+# RMSprop walks the flat vectors in blocks of this many values, so that
+# the five arrays it touches stay in a core's L2 cache (about 1.3 MB of
+# float32 per block) across its nine elementwise passes, instead of each
+# pass streaming all of them from L3 or memory.
+_RMSPROP_BLOCK = 1 << 16
+
+
+def _rmsprop_scratch(p):
+    """The two work arrays `_rmsprop_step` needs for parameters like `p`."""
+    block = min(p.size, _RMSPROP_BLOCK)
+    return np.empty(block, p.dtype), np.empty(block, p.dtype)
+
+
+def _rmsprop_step(p, g, cache, scratch, hp: Hyperparameters) -> None:
+    """In place: cache = rho*cache + (1-rho)*g*g; p -= lr*g / (sqrt(cache) + eps).
+
+    Each operation is a separate rounding in the dtype of `p`, in the order
+    of the per-tensor expressions above evaluated left to right, so the
+    update is bit-identical to them. `scratch` comes from
+    `_rmsprop_scratch`."""
+    for lo in range(0, p.size, _RMSPROP_BLOCK):
+        hi = min(lo + _RMSPROP_BLOCK, p.size)
+        pb, gb, cb = p[lo:hi], g[lo:hi], cache[lo:hi]
+        tmp, denom = scratch[0][: hi - lo], scratch[1][: hi - lo]
+        cb *= hp.rho
+        np.multiply(gb, 1.0 - hp.rho, out=tmp)
+        tmp *= gb
+        cb += tmp
+        np.multiply(gb, hp.learning_rate, out=tmp)
+        np.sqrt(cb, out=denom)
+        denom += hp.epsilon
+        tmp /= denom
+        pb -= tmp
 
 
 def _activation_signature(model, x):
@@ -423,7 +493,7 @@ def _activation_signature(model, x):
     signature = []
     for layer, ctx in zip(model.layers, ctxs):
         if isinstance(layer, (ReLU, MaxPool1D)):
-            signature.append(ctx["mask" if isinstance(layer, ReLU) else "argmax"])
+            signature.append(ctx["mask"])
     return probs, signature
 
 
@@ -460,10 +530,7 @@ def gradient_check(
     grad[0, y] -= 1.0
     for layer, ctx in zip(reversed(m.layers), reversed(ctxs)):
         grad = layer.backward(grad, ctx)
-    analytic = {
-        (i, name): ctx["d" + name]
-        for (i, name, _), ctx in zip(m.parameters(), _param_ctxs(m.layers, ctxs))
-    }
+    analytic = {(i, name): ctxs[i]["d" + name] for i, name, _ in m.parameters()}
 
     def probe(tensor, j, offset):
         original = tensor.flat[j]
@@ -538,8 +605,7 @@ def save_model(model: ClassifierModel, path) -> None:
             parts.append(struct.pack("<Bf", _LAYER_DROPOUT, layer.rate))
         else:
             raise CorruptModel(f"unserializable layer {type(layer).__name__}")
-    for _, _, p in model.parameters():
-        parts.append(np.ascontiguousarray(p, dtype="<f4").tobytes())
+    parts.append(np.ascontiguousarray(model.flat, dtype="<f4").tobytes())
     try:
         Path(path).write_bytes(b"".join(parts))
     except OSError as exc:
@@ -592,18 +658,17 @@ def load_model(path) -> ClassifierModel:
     except struct.error as exc:
         raise CorruptModel(f"truncated model file: {exc}") from exc
 
+    # layers hold only their dimensions so far: check them against each
+    # other and the file length before allocating any weights
     _validate_chain(layers, n_inputs, n_classes)
-
-    model = ClassifierModel(layers, seed, input_floor_db=float(floor))
+    n_weights = _parameter_total(layers)
+    if pos + 4 * n_weights > len(blob):
+        raise CorruptModel("model file ends before all weights are read")
+    if pos + 4 * n_weights != len(blob):
+        raise CorruptModel(f"{len(blob) - pos - 4 * n_weights} trailing bytes after the weights")
+    flat = np.frombuffer(blob, dtype="<f4", count=n_weights, offset=pos).astype(np.float32)
+    model = ClassifierModel(layers, seed, input_floor_db=float(floor), flat=flat)
     model.n_inputs, model.n_classes = n_inputs, n_classes
-    for _, name, p in model.parameters():
-        end = pos + p.size * 4
-        if end > len(blob):
-            raise CorruptModel("model file ends before all weights are read")
-        p[...] = np.frombuffer(blob[pos:end], dtype="<f4").reshape(p.shape)
-        pos = end
-    if pos != len(blob):
-        raise CorruptModel(f"{len(blob) - pos} trailing bytes after the weights")
     return model
 
 
@@ -611,11 +676,11 @@ def _validate_chain(layers, n_inputs, n_classes):
     length, channels, flat = n_inputs, 1, None
     for layer in layers:
         if isinstance(layer, Conv1D):
-            if flat is not None or channels != layer.c_in or length < layer.k:
+            if flat is not None or channels != layer.c_in or not 1 <= layer.k <= length:
                 raise CorruptModel("convolution does not chain from its input shape")
             length, channels = length - layer.k + 1, layer.c_out
         elif isinstance(layer, MaxPool1D):
-            if flat is not None or length < layer.width:
+            if flat is not None or not 1 <= layer.width <= length:
                 raise CorruptModel("pooling does not chain from its input shape")
             length //= layer.width
         elif isinstance(layer, Flatten):

@@ -100,6 +100,7 @@ def test_criterion_2_amplitude_invariance():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_speed_agnostic_training():
     start = time.time()
     # structural: the classifier input carries no spindle-speed information,
@@ -131,6 +132,7 @@ def test_criterion_3_speed_agnostic_training():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_desk_scale_end_to_end():
     start = time.time()
     # 330 signals per class of which 30 are ambiguous: 300 unambiguous

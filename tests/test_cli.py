@@ -119,6 +119,36 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--data", "d", "--out", "m", "--batch", "0"],
+        ["train", "--data", "d", "--out", "m", "--epochs", "-1"],
+        ["train", "--data", "d", "--out", "m", "--lr", "-1"],
+        ["train", "--data", "d", "--out", "m", "--lr", "nan"],
+        ["train", "--data", "d", "--out", "m", "--dropout", "1"],
+        ["extract", "--in", "c", "--out", "d", "--hop", "0"],
+        ["extract", "--in", "c", "--out", "d", "--window", "-0.1"],
+        ["extract", "--in", "c", "--out", "d", "--lines", "1"],
+        ["extract", "--in", "c", "--out", "d", "--crop-db", "0"],
+        ["extract", "--in", "c", "--out", "d", "--test-frac", "1"],
+    ],
+)
+def test_out_of_range_values_exit_1(argv, capsys):
+    # rejected while parsing, before the (missing) input is opened
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "Traceback" not in err
+
+
+def test_out_of_range_config_value_exits_1(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("batch=0\n")
+    assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1
+    assert "batch" in capsys.readouterr().err
+
+
 def test_missing_data_exits_2(tmp_path):
     assert run(["train", "--data", str(tmp_path / "nope"), "--out",
                 str(tmp_path / "m")]) == 2

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,13 @@ import pytest
 import chatterdetect as cd
 from chatterdetect.dataset import Split
 from chatterdetect.errors import CorruptModel, EmptyDataset, MissingClass, WrongInputLength
-from chatterdetect.model import MODEL_VERSION
+from chatterdetect.model import (
+    _LAYER_DENSE,
+    _LAYER_FLATTEN,
+    _LAYER_POOL,
+    MODEL_MAGIC,
+    MODEL_VERSION,
+)
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 
 
@@ -215,6 +222,30 @@ def test_model_truncation_rejected(tmp_path):
         cd.load_model(path)
 
 
+HUGE_DENSE = struct.pack("<BII", _LAYER_DENSE, 2**31, 2**31)
+FLATTEN = struct.pack("<B", _LAYER_FLATTEN)
+
+
+@pytest.mark.parametrize(
+    "n_inputs,n_classes,layers",
+    [
+        # a consistent chain whose 2**64 bytes of weights dwarf the file
+        (2**31, 2**31, [FLATTEN, HUGE_DENSE]),
+        # the same layer where the chain does not fit
+        (1024, 3, [FLATTEN, HUGE_DENSE]),
+        # a zero-width pooling window
+        (1024, 3, [struct.pack("<BI", _LAYER_POOL, 0)]),
+    ],
+    ids=["huge-chained", "huge-unchained", "zero-pool"],
+)
+def test_forged_header_rejected_before_allocation(tmp_path, n_inputs, n_classes, layers):
+    path = tmp_path / "m.chmd"
+    header = struct.pack("<4sIIIqf", MODEL_MAGIC, MODEL_VERSION, n_inputs, n_classes, 0, -20.0)
+    path.write_bytes(header + struct.pack("<I", len(layers)) + b"".join(layers) + bytes(64))
+    with pytest.raises(CorruptModel):
+        cd.load_model(path)
+
+
 def test_training_log_csv(tmp_path, trained_small_model):
     path = tmp_path / "log.csv"
     cd.save_training_log(trained_small_model.training_log, path)
@@ -232,6 +263,10 @@ def test_hyperparameter_validation():
     with pytest.raises(ValueError):
         cd.Hyperparameters(batch_size=0)
     with pytest.raises(ValueError):
+        cd.Hyperparameters(epochs=-1)
+    with pytest.raises(ValueError):
         cd.Hyperparameters(learning_rate=-1.0)
+    with pytest.raises(ValueError):
+        cd.Hyperparameters(learning_rate=float("nan"))
     with pytest.raises(ValueError):
         cd.Hyperparameters(dropout_rate=1.0)
