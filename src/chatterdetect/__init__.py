@@ -2,7 +2,6 @@
 
 from .dataset import (
     LabeledDataset,
-    Sample,
     Split,
     build_dataset,
     class_distribution,

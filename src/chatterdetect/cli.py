@@ -21,6 +21,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -115,9 +116,14 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
         if dest in overrides:
             convert = kwargs.get("type", str)
             try:
-                kwargs["default"] = convert(overrides[dest])
+                value = convert(overrides[dest])
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ChatterError(f"config value for {dest}: {exc}") from None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                raise ChatterError(
+                    f"config value for {dest}: {value!r} is not one of {kwargs['choices']}"
+                )
+            kwargs["default"] = value
             kwargs.pop("required", None)
         parser.add_argument(*flags, **kwargs)
 
@@ -131,7 +137,7 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
     add(p, "--per-class", type=int, required=True, help="signals per class")
     add(p, "--ambiguous-frac", type=float, default=0.0, help="ambiguous fraction per class")
     add(p, "--rpm", type=_rpm_list, default=[1800.0, 3000.0], help="comma-separated spindle speeds")
-    add(p, "--seed", type=int, default=0)
+    add(p, "--seed", type=_count, default=0)
     add(p, "--duration", type=float, default=1.0, help="seconds per signal")
     p.set_defaults(func=cmd_synth)
 
@@ -144,7 +150,7 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
     add(p, "--fmax", type=_positive, default=defaults.F_MAX_HZ, help="band upper edge in Hz")
     add(p, "--crop-db", type=_positive, default=defaults.CROP_DB,
         help="dB crop below the frame maximum")
-    add(p, "--seed", type=int, default=0, help="split shuffle seed")
+    add(p, "--seed", type=_count, default=0, help="split shuffle seed")
     add(p, "--test-frac", type=_fraction, default=defaults.TEST_FRACTION)
     p.set_defaults(func=cmd_extract)
 
@@ -155,7 +161,7 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
     add(p, "--lr", type=_non_negative, default=defaults.LEARNING_RATE)
     add(p, "--epochs", type=_count, default=defaults.EPOCHS)
     add(p, "--dropout", type=_fraction, default=defaults.DROPOUT_RATE)
-    add(p, "--seed", type=int, default=0)
+    add(p, "--seed", type=_count, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a dataset split")
@@ -240,8 +246,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ds = load_dataset(args.data)
     model = load_model(args.model)
-    split = Split.TEST if args.split == "test" else Split.TEST2_AMBIGUOUS
-    x, y = ds.split_arrays(split)
+    x, y = ds.split_arrays(next(s for s in Split if s.token == args.split))
     if len(y) == 0:
         raise EmptyDataset(f"split {args.split!r} is empty")
     probs = predict_batch(model, x)
@@ -280,7 +285,7 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     except ChatterError as exc:
@@ -296,10 +301,19 @@ def run(argv) -> int:
     except ChatterError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone (predict | head): nothing left to say
+        return 0
 
 
 def main() -> int:
-    return run(sys.argv[1:])
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # drop what is still buffered, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Labeled frame datasets: build, split, persist.
 
-A dataset directory holds two files: a UTF-8 ``manifest`` of key=value
-provenance records and a ``frames.bin`` with a fixed 16-byte header
-(magic ``CHDS``) followed by one fixed-size record per sample, so the
-file size is exactly header + n_samples * (4 * n_lines + 20) bytes.
+A dataset is an array of fixed-size frame records (``record_dtype``), the
+source ids they index and a manifest of key=value provenance records. Its
+directory holds a UTF-8 ``manifest`` (the source ids on its
+``frames.sources`` line) and ``frames.bin``: a 16-byte header (magic
+``CHDS``) and then the records' bytes, exactly n_samples * (4 * n_lines +
+20) of them.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 
 from . import defaults
 from .errors import CorruptDataset, EmptyDataset, IoFailure, MissingClass
-from .signal_io import CLASS_ORDER, LabelTrack, MachiningClass, TimeSignal
-from .spectral import SpectralConfig, SpectralFrame, extract_frames, frame_lines_valid
+from .signal_io import CLASS_ORDER, MachiningClass
+from .spectral import SpectralConfig, extract_frames, frame_counts, frame_lines_valid
 
 MAGIC = b"CHDS"
 FORMAT_VERSION = 1
@@ -45,69 +47,57 @@ _SPLIT_TOKENS = {
 }
 
 
-def split_from_token(token: str) -> Split:
-    for split, tok in _SPLIT_TOKENS.items():
-        if tok == token.strip().lower():
-            return split
-    raise ValueError(f"unknown split {token!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    frame: SpectralFrame
-    label: MachiningClass
-    source_id: str
-    ambiguous: bool
-
-    def __eq__(self, other):
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.frame == other.frame
-            and self.label == other.label
-            and self.source_id == other.source_id
-            and self.ambiguous == other.ambiguous
-        )
+def record_dtype(n_lines: int) -> np.dtype:
+    """One frame's record, little-endian and unpadded: 20 bytes of
+    bookkeeping, then the renormalized lines as float32."""
+    return np.dtype(
+        [
+            ("source", "<u4"),  # index into LabeledDataset.sources
+            ("frame_index", "<u4"),
+            ("t_start", "<f8"),
+            ("label", "u1"),  # MachiningClass
+            ("split", "u1"),  # Split
+            ("ambiguous", "u1"),
+            ("pad", "u1"),
+            ("lines", "<f4", (n_lines,)),
+        ]
+    )
 
 
 @dataclass(eq=False)
 class LabeledDataset:
-    samples: list[Sample]
-    splits: list[Split]
-    manifest: dict[str, str]
-    n_lines: int
+    """Frame records (``record_dtype``), the source ids their ``source``
+    field indexes in first-seen order, and the provenance manifest. The
+    records ``load_dataset`` returns are a read-only view of the file."""
 
-    def __post_init__(self):
-        if len(self.samples) != len(self.splits):
-            raise ValueError("samples and splits must be parallel")
+    records: np.ndarray
+    sources: list[str]
+    manifest: dict[str, str]
+
+    @property
+    def n_lines(self) -> int:
+        return self.records.dtype["lines"].shape[0]
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.records)
 
     def __eq__(self, other):
         if not isinstance(other, LabeledDataset):
             return NotImplemented
         return (
-            self.n_lines == other.n_lines
+            self.sources == other.sources
             and self.manifest == other.manifest
-            and self.splits == other.splits
-            and self.samples == other.samples
+            and self.records.dtype == other.records.dtype
+            and np.array_equal(self.records, other.records)
         )
 
-    def split_indices(self, split: Split) -> list[int]:
-        return [i for i, s in enumerate(self.splits) if s == split]
+    def split_indices(self, split: Split) -> np.ndarray:
+        return np.flatnonzero(self.records["split"] == split)
 
     def split_arrays(self, split: Split):
         """(lines, labels) arrays for one split: float32 (n, n_lines), int64 (n,)."""
-        idx = self.split_indices(split)
-        if not idx:
-            return (
-                np.zeros((0, self.n_lines), dtype=np.float32),
-                np.zeros(0, dtype=np.int64),
-            )
-        x = np.stack([self.samples[i].frame.lines for i in idx])
-        y = np.array([int(self.samples[i].label) for i in idx], dtype=np.int64)
-        return x, y
+        mask = self.records["split"] == split
+        return self.records["lines"][mask], self.records["label"][mask].astype(np.int64)
 
 
 def stratified_split(
@@ -162,29 +152,40 @@ def build_dataset(
     if len(source_ids) != len(pairs):
         raise ValueError("source_ids must parallel pairs")
 
-    samples: list[Sample] = []
-    dropped = 0
-    for (signal, track, ambiguous), source_id in zip(pairs, source_ids):
-        window_s = _window_seconds(signal, config)
+    # room for every frame; the kept ones are packed to the front
+    framing = [frame_counts(s.samples.size, s.sample_rate_hz, config) for s, _, _ in pairs]
+    n_frames = sum(n for _, _, n in framing)
+    records = np.zeros(n_frames, dtype=record_dtype(config.n_lines))
+    source_index: dict[str, int] = {}
+    kept = 0
+    for (signal, track, ambiguous), source_id, (_, window_n, _) in zip(
+        pairs, source_ids, framing
+    ):
+        window_s = window_n / signal.sample_rate_hz
         for frame in extract_frames(signal, config):
             label = track.label_for_span(frame.t_start_s, frame.t_start_s + window_s)
             if label is None:
-                dropped += 1
                 continue
-            samples.append(Sample(frame, label, source_id, bool(ambiguous)))
-    if not samples:
+            source = source_index.setdefault(source_id, len(source_index))
+            records[kept] = (source, frame.frame_index, frame.t_start_s, label, 0,
+                             bool(ambiguous), 0, frame.lines)
+            kept += 1
+    if not kept:
         raise EmptyDataset("no frame fell inside a labeled interval")
+    records = records[:kept]
+    records["split"] = stratified_split(
+        records["label"], records["ambiguous"], split_seed, test_fraction
+    )
 
-    labels = np.array([int(s.label) for s in samples])
-    ambiguous_flags = np.array([s.ambiguous for s in samples])
-    split_codes = stratified_split(labels, ambiguous_flags, split_seed, test_fraction)
-    splits = [Split(int(c)) for c in split_codes]
-
-    present = set(labels[~ambiguous_flags].tolist())
-    trained = {int(s.label) for s, sp in zip(samples, splits) if sp is Split.TRAIN}
-    if present - trained:
-        missing = ", ".join(MachiningClass(c).token for c in sorted(present - trained))
-        raise MissingClass(f"no training samples for class(es): {missing}")
+    # counts[split, class]; the unambiguous frames are the non-test2 splits
+    counts = np.bincount(
+        records["split"] * len(CLASS_ORDER) + records["label"],
+        minlength=len(Split) * len(CLASS_ORDER),
+    ).reshape(len(Split), len(CLASS_ORDER))
+    missing = counts[: Split.TEST2_AMBIGUOUS].any(axis=0) & (counts[Split.TRAIN] == 0)
+    if missing.any():
+        names = ", ".join(cls.token for cls in CLASS_ORDER if missing[cls])
+        raise MissingClass(f"no training samples for class(es): {names}")
 
     manifest = {
         "format": "chatterdetect-dataset",
@@ -198,17 +199,12 @@ def build_dataset(
         "taper": config.taper,
         "split_seed": str(split_seed),
         "test_fraction": repr(test_fraction),
-        "dropped_frames": str(dropped),
-        "n_samples": str(len(samples)),
+        "dropped_frames": str(n_frames - kept),
+        "n_samples": str(kept),
     }
     for split in Split:
         for cls in CLASS_ORDER:
-            n = sum(
-                1
-                for s, sp in zip(samples, splits)
-                if sp is split and s.label is cls
-            )
-            manifest[_count_key(split, cls)] = str(n)
+            manifest[_count_key(split, cls)] = str(counts[split, cls])
     manifest["n_sources"] = str(len(pairs))
     for i, source_id in enumerate(source_ids):
         manifest[f"source.{i}.id"] = source_id
@@ -216,35 +212,13 @@ def build_dataset(
         if source_specs is not None and source_specs[i]:
             manifest[f"source.{i}.spec"] = source_specs[i]
 
-    return LabeledDataset(samples, splits, manifest, config.n_lines)
-
-
-def _window_seconds(signal: TimeSignal, config: SpectralConfig) -> float:
-    window_n = int(round(config.window_s * signal.sample_rate_hz))
-    return window_n / signal.sample_rate_hz
+    return LabeledDataset(records, list(source_index), manifest)
 
 
 def class_distribution(ds: LabeledDataset, split: Split) -> dict[MachiningClass, int]:
-    counts = {cls: 0 for cls in CLASS_ORDER}
-    for sample, s in zip(ds.samples, ds.splits):
-        if s == split:
-            counts[sample.label] += 1
-    return counts
-
-
-def _record_dtype(n_lines: int) -> np.dtype:
-    return np.dtype(
-        [
-            ("source", "<u4"),
-            ("frame_index", "<u4"),
-            ("t_start", "<f8"),
-            ("label", "u1"),
-            ("split", "u1"),
-            ("ambiguous", "u1"),
-            ("pad", "u1"),
-            ("lines", "<f4", (n_lines,)),
-        ]
-    )
+    labels = ds.records["label"][ds.records["split"] == split]
+    counts = np.bincount(labels, minlength=len(CLASS_ORDER))
+    return {cls: int(counts[cls]) for cls in CLASS_ORDER}
 
 
 def save_dataset(ds: LabeledDataset, out_dir) -> None:
@@ -254,31 +228,13 @@ def save_dataset(ds: LabeledDataset, out_dir) -> None:
     except OSError as exc:
         raise IoFailure(f"cannot create {out}: {exc}") from exc
 
-    source_table: list[str] = []
-    source_index: dict[str, int] = {}
-    for s in ds.samples:
-        if s.source_id not in source_index:
-            source_index[s.source_id] = len(source_table)
-            source_table.append(s.source_id)
-
-    records = np.zeros(len(ds.samples), dtype=_record_dtype(ds.n_lines))
-    for i, (sample, split) in enumerate(zip(ds.samples, ds.splits)):
-        records[i] = (
-            source_index[sample.source_id],
-            sample.frame.frame_index,
-            sample.frame.t_start_s,
-            int(sample.label),
-            int(split),
-            1 if sample.ambiguous else 0,
-            0,
-            sample.frame.lines,
-        )
-
-    header = struct.pack("<4sIII", MAGIC, FORMAT_VERSION, ds.n_lines, len(ds.samples))
+    header = struct.pack("<4sIII", MAGIC, FORMAT_VERSION, ds.n_lines, len(ds))
+    manifest_lines = [f"{k}={v}" for k, v in ds.manifest.items()]
+    manifest_lines.append(f"frames.sources={'|'.join(ds.sources)}")
     try:
-        (out / FRAMES_FILE).write_bytes(header + records.tobytes())
-        manifest_lines = [f"{k}={v}" for k, v in ds.manifest.items()]
-        manifest_lines.append(f"frames.sources={'|'.join(source_table)}")
+        with open(out / FRAMES_FILE, "wb") as f:
+            f.write(header)
+            ds.records.tofile(f)
         (out / MANIFEST_FILE).write_text(
             "\n".join(manifest_lines) + "\n", encoding="utf-8"
         )
@@ -293,6 +249,8 @@ def load_dataset(in_dir) -> LabeledDataset:
         blob = (src / FRAMES_FILE).read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read dataset from {src}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptDataset(f"manifest is not UTF-8: {exc}") from None
 
     manifest: dict[str, str] = {}
     for line in manifest_text.splitlines():
@@ -302,7 +260,7 @@ def load_dataset(in_dir) -> LabeledDataset:
             raise CorruptDataset(f"bad manifest line {line!r}")
         key, value = line.split("=", 1)
         manifest[key] = value
-    source_table = manifest.pop("frames.sources", "").split("|")
+    sources = manifest.pop("frames.sources", "").split("|")
 
     if len(blob) < 16:
         raise CorruptDataset("frames.bin shorter than its header")
@@ -311,7 +269,12 @@ def load_dataset(in_dir) -> LabeledDataset:
         raise CorruptDataset(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise CorruptDataset(f"unsupported version {version}")
-    dtype = _record_dtype(n_lines)
+    if n_lines == 0:
+        raise CorruptDataset("frames.bin declares frames of zero lines")
+    try:
+        dtype = record_dtype(n_lines)
+    except ValueError:  # numpy refuses records of 2 GiB or more
+        raise CorruptDataset(f"frames.bin declares {n_lines} lines per frame") from None
     expected = 16 + n_samples * dtype.itemsize
     if len(blob) != expected:
         raise CorruptDataset(
@@ -323,27 +286,12 @@ def load_dataset(in_dir) -> LabeledDataset:
         raise CorruptDataset("manifest is missing a usable crop_db") from None
 
     records = np.frombuffer(blob, dtype=dtype, offset=16)
-    samples: list[Sample] = []
-    splits: list[Split] = []
-    for rec in records:
-        if rec["label"] > 2 or rec["split"] > 3:
-            raise CorruptDataset("label or split code out of range")
-        split = Split(int(rec["split"]))
-        if bool(rec["ambiguous"]) != (split is Split.TEST2_AMBIGUOUS):
-            raise CorruptDataset("ambiguous flag inconsistent with split assignment")
-        lines = np.array(rec["lines"], dtype=np.float32)
-        if not frame_lines_valid(lines, crop_db):
-            raise CorruptDataset("frame violates the renormalization invariants")
-        source = int(rec["source"])
-        if source >= len(source_table):
-            raise CorruptDataset("source index out of range")
-        samples.append(
-            Sample(
-                SpectralFrame(int(rec["frame_index"]), float(rec["t_start"]), lines),
-                MachiningClass(int(rec["label"])),
-                source_table[source],
-                bool(rec["ambiguous"]),
-            )
-        )
-        splits.append(split)
-    return LabeledDataset(samples, splits, manifest, n_lines)
+    if np.any(records["label"] > 2) or np.any(records["split"] > 3):
+        raise CorruptDataset("label or split code out of range")
+    if np.any((records["ambiguous"] != 0) != (records["split"] == Split.TEST2_AMBIGUOUS)):
+        raise CorruptDataset("ambiguous flag inconsistent with split assignment")
+    if not np.all(frame_lines_valid(records["lines"], crop_db)):
+        raise CorruptDataset("frame violates the renormalization invariants")
+    if np.any(records["source"] >= len(sources)):
+        raise CorruptDataset("source index out of range")
+    return LabeledDataset(records, sources, manifest)

@@ -53,6 +53,10 @@ class WindowTooShort(ChatterError):
     """Analysis window resolves to fewer than 16 samples."""
 
 
+class HopTooShort(ChatterError):
+    """Frame hop resolves to zero samples."""
+
+
 class BandExceedsNyquist(ChatterError):
     """Requested band upper edge lies above sample_rate / 2."""
 

@@ -73,12 +73,31 @@ class EpochStats:
     val_acc: float
 
 
-class Conv1D:
+class Layer:
+    """A layer kind. In a model file a layer is its ``code`` byte followed by
+    its constructor's arguments: the attributes ``fields`` names, each
+    packed little-endian as the struct format it maps to. ``params`` name
+    the layer's weight tensors and ``shapes`` give their shapes."""
+
+    code: int
+    fields: dict[str, str] = {}
+    params = shapes = ()
+
+    def args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.fields)
+
+    @classmethod
+    def struct_format(cls) -> str:
+        return "<" + "".join(cls.fields.values())
+
+
+class Conv1D(Layer):
     """Valid (no padding), stride-1 convolution over (batch, length, channels).
 
     A context holding ``skip_dx`` makes backward return None instead of the
     input gradient: the first layer's is never read."""
 
+    code, fields = 1, {"c_in": "I", "c_out": "I", "k": "I"}
     params = ("w", "b")
 
     def __init__(self, c_in: int, c_out: int, k: int):
@@ -115,8 +134,8 @@ class Conv1D:
         return dx
 
 
-class ReLU:
-    params = shapes = ()
+class ReLU(Layer):
+    code = 2
 
     def forward(self, x, ctx=None, **_):
         if ctx is not None:
@@ -127,13 +146,13 @@ class ReLU:
         return dy * ctx["mask"]
 
 
-class MaxPool1D:
+class MaxPool1D(Layer):
     """Non-overlapping max pooling; a trailing partial window is dropped.
 
     Training records a mask of the first maximum in each window (argmax's
     tie rule), so the gradient reaches exactly one input per output."""
 
-    params = shapes = ()
+    code, fields = 3, {"width": "I"}
 
     def __init__(self, width: int):
         self.width = width
@@ -165,8 +184,8 @@ class MaxPool1D:
         return dx
 
 
-class Flatten:
-    params = shapes = ()
+class Flatten(Layer):
+    code = 4
 
     def forward(self, x, ctx=None, **_):
         if ctx is not None:
@@ -177,7 +196,8 @@ class Flatten:
         return dy.reshape(ctx["x_shape"])
 
 
-class Dense:
+class Dense(Layer):
+    code, fields = 5, {"n_in": "I", "n_out": "I"}
     params = ("w", "b")
 
     def __init__(self, n_in: int, n_out: int):
@@ -198,11 +218,11 @@ class Dense:
         return (self.w @ dy.T).T
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: kept activations are rescaled at train time, so
     inference needs no adjustment and stays deterministic."""
 
-    params = shapes = ()
+    code, fields = 6, {"rate": "f"}
 
     def __init__(self, rate: float):
         self.rate = rate
@@ -221,6 +241,9 @@ class Dropout:
     def backward(self, dy, ctx):
         mask = ctx["mask"]
         return dy if mask is None else dy * mask
+
+
+_LAYER_KINDS = {kind.code: kind for kind in (Conv1D, ReLU, MaxPool1D, Flatten, Dense, Dropout)}
 
 
 class ClassifierModel:
@@ -263,21 +286,7 @@ class ClassifierModel:
 
     def clone(self, dtype=None) -> "ClassifierModel":
         """Structural copy; optionally casts the weights (float64 for checks)."""
-        layers = []
-        for layer in self.layers:
-            if isinstance(layer, Conv1D):
-                copy = Conv1D(layer.c_in, layer.c_out, layer.k)
-            elif isinstance(layer, Dense):
-                copy = Dense(layer.n_in, layer.n_out)
-            elif isinstance(layer, MaxPool1D):
-                copy = MaxPool1D(layer.width)
-            elif isinstance(layer, Dropout):
-                copy = Dropout(layer.rate)
-            elif isinstance(layer, ReLU):
-                copy = ReLU()
-            else:
-                copy = Flatten()
-            layers.append(copy)
+        layers = [type(layer)(*layer.args()) for layer in self.layers]
         flat = self.flat.astype(dtype or self.flat.dtype)
         return ClassifierModel(layers, self.seed, self.input_floor_db, flat)
 
@@ -572,10 +581,6 @@ def gradient_check(
 MODEL_MAGIC = b"CHMD"
 MODEL_VERSION = 1
 
-_LAYER_CONV, _LAYER_RELU, _LAYER_POOL, _LAYER_FLATTEN, _LAYER_DENSE, _LAYER_DROPOUT = (
-    1, 2, 3, 4, 5, 6,
-)
-
 
 def save_model(model: ClassifierModel, path) -> None:
     parts = [
@@ -591,20 +596,8 @@ def save_model(model: ClassifierModel, path) -> None:
         struct.pack("<I", len(model.layers)),
     ]
     for layer in model.layers:
-        if isinstance(layer, Conv1D):
-            parts.append(struct.pack("<BIII", _LAYER_CONV, layer.c_in, layer.c_out, layer.k))
-        elif isinstance(layer, ReLU):
-            parts.append(struct.pack("<B", _LAYER_RELU))
-        elif isinstance(layer, MaxPool1D):
-            parts.append(struct.pack("<BI", _LAYER_POOL, layer.width))
-        elif isinstance(layer, Flatten):
-            parts.append(struct.pack("<B", _LAYER_FLATTEN))
-        elif isinstance(layer, Dense):
-            parts.append(struct.pack("<BII", _LAYER_DENSE, layer.n_in, layer.n_out))
-        elif isinstance(layer, Dropout):
-            parts.append(struct.pack("<Bf", _LAYER_DROPOUT, layer.rate))
-        else:
-            raise CorruptModel(f"unserializable layer {type(layer).__name__}")
+        parts.append(struct.pack("<B", layer.code))
+        parts.append(struct.pack(layer.struct_format(), *layer.args()))
     parts.append(np.ascontiguousarray(model.flat, dtype="<f4").tobytes())
     try:
         Path(path).write_bytes(b"".join(parts))
@@ -626,35 +619,20 @@ def load_model(path) -> ClassifierModel:
             raise CorruptModel(f"bad magic {magic!r}")
         if version != MODEL_VERSION:
             raise CorruptModel(f"unsupported version {version}")
+        if seed < 0:
+            raise CorruptModel(f"negative seed {seed}")
         (n_layers,) = struct.unpack_from("<I", blob, pos)
         pos += 4
 
         layers = []
         for _ in range(n_layers):
             (code,) = struct.unpack_from("<B", blob, pos)
-            pos += 1
-            if code == _LAYER_CONV:
-                c_in, c_out, k = struct.unpack_from("<III", blob, pos)
-                pos += 12
-                layers.append(Conv1D(c_in, c_out, k))
-            elif code == _LAYER_RELU:
-                layers.append(ReLU())
-            elif code == _LAYER_POOL:
-                (width,) = struct.unpack_from("<I", blob, pos)
-                pos += 4
-                layers.append(MaxPool1D(width))
-            elif code == _LAYER_FLATTEN:
-                layers.append(Flatten())
-            elif code == _LAYER_DENSE:
-                n_in, n_out = struct.unpack_from("<II", blob, pos)
-                pos += 8
-                layers.append(Dense(n_in, n_out))
-            elif code == _LAYER_DROPOUT:
-                (rate,) = struct.unpack_from("<f", blob, pos)
-                pos += 4
-                layers.append(Dropout(float(rate)))
-            else:
+            kind = _LAYER_KINDS.get(code)
+            if kind is None:
                 raise CorruptModel(f"unknown layer code {code}")
+            fields = kind.struct_format()
+            layers.append(kind(*struct.unpack_from(fields, blob, pos + 1)))
+            pos += 1 + struct.calcsize(fields)
     except struct.error as exc:
         raise CorruptModel(f"truncated model file: {exc}") from exc
 

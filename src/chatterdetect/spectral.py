@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .errors import BandExceedsNyquist, IoFailure, WindowTooShort
+from .errors import BandExceedsNyquist, HopTooShort, IoFailure, WindowTooShort
 from .signal_io import TimeSignal
 
 PEAK_QUANT_LEVELS = 32768
@@ -74,15 +74,6 @@ class SpectralFrame:
     t_start_s: float
     lines: np.ndarray  # float32
 
-    def __eq__(self, other):
-        if not isinstance(other, SpectralFrame):
-            return NotImplemented
-        return (
-            self.frame_index == other.frame_index
-            and self.t_start_s == other.t_start_s
-            and np.array_equal(self.lines, other.lines)
-        )
-
 
 def frame_counts(n_samples: int, sample_rate_hz: float, config: SpectralConfig):
     """(hop, window) in samples for this rate, plus how many frames fit."""
@@ -93,7 +84,7 @@ def frame_counts(n_samples: int, sample_rate_hz: float, config: SpectralConfig):
             f"window of {window_n} samples is below the {MIN_WINDOW_SAMPLES}-sample minimum"
         )
     if hop_n < 1:
-        raise ValueError("hop rounds to zero samples")
+        raise HopTooShort(f"hop of {config.hop_s:g} s rounds to zero samples")
     n_frames = (n_samples - window_n) // hop_n + 1 if n_samples >= window_n else 0
     return hop_n, window_n, n_frames
 
@@ -205,12 +196,13 @@ def renormalize(
     return lines.astype(np.float32)
 
 
-def frame_lines_valid(lines: np.ndarray, crop_db: float) -> bool:
-    """Range/maximum invariant used when validating persisted frames."""
+def frame_lines_valid(lines: np.ndarray, crop_db: float):
+    """Range/maximum invariant used when validating persisted frames, along
+    the last axis: every line in [-crop_db, 0] dB, and the maximum 0 dB or
+    the whole frame at the floor. NaN lines fail it."""
     floor = np.float32(-crop_db)
-    if lines.min() < floor or lines.max() > np.float32(0.0):
-        return False
-    return lines.max() == np.float32(0.0) or bool(np.all(lines == floor))
+    lo, hi = lines.min(axis=-1), lines.max(axis=-1)
+    return (lo >= floor) & (hi <= 0) & ((hi == 0) | (hi == floor))
 
 
 def extract_frames(

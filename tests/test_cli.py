@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -111,6 +112,31 @@ def test_band_error_exits_2(tmp_path):
     assert code == 2
 
 
+def test_hop_rounding_to_zero_samples_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    assert run(["extract", "--in", str(corpus), "--out", str(tmp_path / "ds"),
+                "--hop", "1e-9", "--seed", "0"]) == 2
+    assert "HopTooShort" in capsys.readouterr().err
+
+
+def test_predict_stops_quietly_when_stdout_closes(tmp_path, monkeypatch, capsys):
+    corpus, model = tmp_path / "corpus", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    cd.save_model(cd.build_model(0), model)
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    wav = next(corpus.glob("chatter-*.wav"))
+    assert run(["predict", "--model", str(model), "--wav", str(wav)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["synth", "--out", "x"]) == 1          # missing required flag
     assert run(["train", "--nope"]) == 1              # unknown flag
@@ -132,6 +158,9 @@ def test_usage_errors_exit_1(capsys):
         ["extract", "--in", "c", "--out", "d", "--lines", "1"],
         ["extract", "--in", "c", "--out", "d", "--crop-db", "0"],
         ["extract", "--in", "c", "--out", "d", "--test-frac", "1"],
+        ["synth", "--out", "c", "--per-class", "1", "--seed", "-1"],
+        ["extract", "--in", "c", "--out", "d", "--seed", "-1"],
+        ["train", "--data", "d", "--out", "m", "--seed", "-1"],
     ],
 )
 def test_out_of_range_values_exit_1(argv, capsys):
@@ -147,6 +176,16 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys):
     config.write_text("batch=0\n")
     assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1
     assert "batch" in capsys.readouterr().err
+
+    # a config value outside a flag's choices is refused like the flag would be
+    config.write_text("split=weird\n")
+    assert run(["--config", str(config), "eval", "--model", "m", "--data", "d",
+                "--out", "r"]) == 1
+    assert "split" in capsys.readouterr().err
+
+    config.write_bytes(b"\xffepochs=1\n")
+    assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1
+    assert "cannot read config" in capsys.readouterr().err
 
 
 def test_missing_data_exits_2(tmp_path):

@@ -1,8 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 import chatterdetect as cd
-from chatterdetect.dataset import FRAMES_FILE, Split, stratified_split
+from chatterdetect.dataset import FRAMES_FILE, Split, record_dtype, stratified_split
 from chatterdetect.errors import CorruptDataset, EmptyDataset
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 from chatterdetect.spectral import SpectralConfig
@@ -44,7 +46,7 @@ def test_straddling_frames_are_dropped():
     # the frame spanning [0.3, 0.4) straddles the boundary and is dropped
     assert len(ds) == 9
     assert ds.manifest["dropped_frames"] == "1"
-    labels = sorted(int(s.label) for s in ds.samples)
+    labels = ds.records["label"].tolist()
     assert labels.count(int(MachiningClass.CHATTER)) == 3
     assert labels.count(int(MachiningClass.MACHINING_NO_CHATTER)) == 6
 
@@ -122,8 +124,8 @@ def test_split_assignment_is_deterministic():
 def test_splits_partition_dataset(small_dataset):
     seen = sorted(i for s in Split for i in small_dataset.split_indices(s))
     assert seen == list(range(len(small_dataset)))
-    for sample, split in zip(small_dataset.samples, small_dataset.splits):
-        assert sample.ambiguous == (split is Split.TEST2_AMBIGUOUS)
+    records = small_dataset.records
+    assert np.array_equal(records["ambiguous"] == 1, records["split"] == Split.TEST2_AMBIGUOUS)
 
 
 def test_save_load_round_trip(tmp_path, small_dataset):
@@ -138,19 +140,31 @@ def test_frames_file_size_formula(tmp_path, small_dataset):
     assert size == 16 + len(small_dataset) * (4 * 1024 + 20)
 
 
+def test_frames_file_layout(tmp_path, small_dataset):
+    # the documented layout, packed field by field
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    parts = [struct.pack("<4sIII", b"CHDS", 1, 1024, len(small_dataset))]
+    for rec in small_dataset.records:
+        parts.append(
+            struct.pack(
+                "<IIdBBBx1024f",
+                rec["source"], rec["frame_index"], rec["t_start"],
+                rec["label"], rec["split"], rec["ambiguous"], *rec["lines"].tolist(),
+            )
+        )
+    assert (tmp_path / "ds" / FRAMES_FILE).read_bytes() == b"".join(parts)
+
+
 def test_large_dataset_size_is_exact(tmp_path):
     # 10180 frames of the degenerate all-floor spectrum
-    lines = np.full(1024, -20.0, dtype=np.float32)
-    samples = [
-        cd.Sample(cd.SpectralFrame(i, i * 0.1, lines), MachiningClass.CHATTER, "x", True)
-        for i in range(10180)
-    ]
-    ds = cd.LabeledDataset(
-        samples,
-        [Split.TEST2_AMBIGUOUS] * len(samples),
-        {"crop_db": "20.0"},
-        1024,
-    )
+    records = np.zeros(10180, dtype=record_dtype(1024))
+    records["frame_index"] = np.arange(10180)
+    records["t_start"] = np.arange(10180) * 0.1
+    records["label"] = MachiningClass.CHATTER
+    records["split"] = Split.TEST2_AMBIGUOUS
+    records["ambiguous"] = 1
+    records["lines"] = -20.0
+    ds = cd.LabeledDataset(records, ["x"], {"crop_db": "20.0"})
     cd.save_dataset(ds, tmp_path / "big")
     size = (tmp_path / "big" / FRAMES_FILE).stat().st_size
     assert size == 16 + 10180 * (1024 * 4 + 20)
@@ -182,14 +196,40 @@ def test_bad_magic_and_version_are_rejected(tmp_path, small_dataset):
         cd.load_dataset(tmp_path / "ds")
 
 
-def test_corrupt_frame_values_are_rejected(tmp_path, small_dataset):
+def _set_lines(values):
+    def corrupt(records):
+        records["lines"][0] = values
+    return corrupt
+
+
+def _set_field(field, value):
+    def corrupt(records):
+        # on the first unambiguous frame, so that only the check named fires
+        records[field][np.argmin(records["ambiguous"])] = value
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _set_lines(5.0),
+        _set_lines(np.where(np.arange(1024) == 7, np.nan, 0.0)),
+        _set_lines(np.where(np.arange(1024) == 7, np.inf, 0.0)),
+        _set_lines(np.where(np.arange(1024) == 7, -np.inf, 0.0)),
+        _set_lines(-10.0),  # in range, not at the floor, peak below 0 dB
+        _set_field("label", 3),
+        _set_field("split", 4),
+        _set_field("ambiguous", 1),
+        _set_field("source", 10**6),
+    ],
+    ids=["above-0db", "nan", "inf", "-inf", "peak-below-0db", "label-3", "split-4",
+         "ambiguous-mismatch", "source-out-of-range"],
+)
+def test_corrupt_frame_values_are_rejected(tmp_path, small_dataset, corrupt):
     cd.save_dataset(small_dataset, tmp_path / "ds")
     path = tmp_path / "ds" / FRAMES_FILE
     blob = bytearray(path.read_bytes())
-    # overwrite the first sample's lines with out-of-range values
-    bad = np.full(1024, 5.0, dtype="<f4").tobytes()
-    offset = 16 + 20
-    blob[offset : offset + len(bad)] = bad
+    corrupt(np.frombuffer(blob, dtype=record_dtype(1024), offset=16))
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptDataset):
         cd.load_dataset(tmp_path / "ds")

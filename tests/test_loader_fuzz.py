@@ -1,0 +1,135 @@
+"""Damaged dataset and model files must fail with a ChatterError, never
+with another exception."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import chatterdetect as cd
+from chatterdetect.dataset import FRAMES_FILE, MANIFEST_FILE
+from chatterdetect.errors import ChatterError, CorruptDataset, CorruptModel
+from chatterdetect.model import ClassifierModel, Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU
+from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
+
+FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+
+
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    """A small valid dataset: 8-line frames of two short signals."""
+    pairs = []
+    for i, cls in enumerate((MachiningClass.CHATTER, MachiningClass.MACHINING_NO_CHATTER)):
+        spec = cd.SynthSpec(cls, 1800.0, 3, 955.0, seed=i, duration_s=0.5)
+        pairs.append((cd.generate(spec), LabelTrack((LabelInterval(0.0, 0.5, cls),)), i == 1))
+    ds = cd.build_dataset(pairs, cd.SpectralConfig(n_lines=8), test_fraction=0.0)
+    path = tmp_path_factory.mktemp("fuzz") / "ds"
+    cd.save_dataset(ds, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """A small valid model file holding one layer of every kind."""
+    layers = [Conv1D(1, 2, 3), ReLU(), MaxPool1D(2), Flatten(), Dropout(0.3), Dense(1022, 3)]
+    model = ClassifierModel(layers, seed=5)
+    model.flat[...] = np.random.default_rng(5).standard_normal(model.flat.size)
+    path = tmp_path_factory.mktemp("fuzz") / "m.chmd"
+    cd.save_model(model, path)
+    return path
+
+
+@st.composite
+def damaged(draw, blob: bytes, head: int):
+    """`blob` with a few bytes overwritten, half of them within the first
+    `head` bytes, and perhaps cut short or extended."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        limit = draw(st.sampled_from([min(head, len(out)), len(out)]))
+        out[draw(st.integers(0, limit - 1))] = draw(st.integers(0, 255))
+    tail = draw(st.sampled_from(["keep", "cut", "extend"]))
+    if tail == "cut":
+        del out[draw(st.integers(0, len(out) - 1)) :]
+    elif tail == "extend":
+        out += draw(st.binary(min_size=1, max_size=64))
+    return bytes(out)
+
+
+def _load_only_chatter_errors(load, path):
+    try:
+        load(path)
+    except ChatterError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_frames_file_raises_only_chatter_errors(dataset_dir, data):
+    valid = (dataset_dir / FRAMES_FILE).read_bytes()
+    try:
+        (dataset_dir / FRAMES_FILE).write_bytes(data.draw(damaged(valid, head=16 + 20)))
+        _load_only_chatter_errors(cd.load_dataset, dataset_dir)
+    finally:
+        (dataset_dir / FRAMES_FILE).write_bytes(valid)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_manifest_raises_only_chatter_errors(dataset_dir, data):
+    valid = (dataset_dir / MANIFEST_FILE).read_bytes()
+    try:
+        (dataset_dir / MANIFEST_FILE).write_bytes(data.draw(damaged(valid, head=len(valid))))
+        _load_only_chatter_errors(cd.load_dataset, dataset_dir)
+    finally:
+        (dataset_dir / MANIFEST_FILE).write_bytes(valid)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_model_file_raises_only_chatter_errors(model_file, data):
+    valid = model_file.read_bytes()
+    try:
+        model_file.write_bytes(data.draw(damaged(valid, head=64)))
+        _load_only_chatter_errors(cd.load_model, model_file)
+    finally:
+        model_file.write_bytes(valid)
+
+
+@pytest.mark.parametrize(
+    "n_lines,n_samples",
+    # sized to match the header: one 20-byte record, or none
+    [(0, 1), (2**29, 0), (2**31, 0)],
+)
+def test_unusable_line_count_is_corrupt(dataset_dir, n_lines, n_samples):
+    path = dataset_dir / FRAMES_FILE
+    valid = path.read_bytes()
+    try:
+        path.write_bytes(valid[:8] + struct.pack("<II", n_lines, n_samples) + bytes(20 * n_samples))
+        with pytest.raises(CorruptDataset):
+            cd.load_dataset(dataset_dir)
+    finally:
+        path.write_bytes(valid)
+
+
+def test_non_utf8_manifest_is_corrupt(dataset_dir):
+    path = dataset_dir / MANIFEST_FILE
+    valid = path.read_bytes()
+    try:
+        path.write_bytes(b"\xff" + valid)
+        with pytest.raises(CorruptDataset):
+            cd.load_dataset(dataset_dir)
+    finally:
+        path.write_bytes(valid)
+
+
+def test_negative_seed_is_corrupt(model_file):
+    valid = model_file.read_bytes()
+    try:
+        # the seed is the int64 after magic, version, n_inputs and n_classes
+        model_file.write_bytes(valid[:16] + struct.pack("<q", -1) + valid[24:])
+        with pytest.raises(CorruptModel):
+            cd.load_model(model_file)
+    finally:
+        model_file.write_bytes(valid)

@@ -7,13 +7,7 @@ import pytest
 import chatterdetect as cd
 from chatterdetect.dataset import Split
 from chatterdetect.errors import CorruptModel, EmptyDataset, MissingClass, WrongInputLength
-from chatterdetect.model import (
-    _LAYER_DENSE,
-    _LAYER_FLATTEN,
-    _LAYER_POOL,
-    MODEL_MAGIC,
-    MODEL_VERSION,
-)
+from chatterdetect.model import MODEL_MAGIC, MODEL_VERSION, Dense, Flatten, MaxPool1D
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 
 
@@ -222,8 +216,27 @@ def test_model_truncation_rejected(tmp_path):
         cd.load_model(path)
 
 
-HUGE_DENSE = struct.pack("<BII", _LAYER_DENSE, 2**31, 2**31)
-FLATTEN = struct.pack("<B", _LAYER_FLATTEN)
+def test_model_file_layout(tmp_path):
+    # header, then each layer's code byte and constructor fields, then weights
+    model = cd.build_model(0)
+    cd.save_model(model, tmp_path / "m.chmd")
+    conv, relu, pool, flatten, dense, dropout = "<BIII", "<B", "<BI", "<B", "<BII", "<Bf"
+    layers = [
+        (conv, 1, 1, 16, 7), (relu, 2), (pool, 3, 4),
+        (conv, 1, 16, 32, 5), (relu, 2), (pool, 3, 4),
+        (flatten, 4),
+        (dense, 5, 62 * 32, 128), (relu, 2), (dropout, 6, 0.3),
+        (dense, 5, 128, 64), (relu, 2),
+        (dense, 5, 64, 3),
+    ]
+    expected = struct.pack("<4sIIIqfI", b"CHMD", 1, 1024, 3, 0, -20.0, len(layers))
+    expected += b"".join(struct.pack(fmt, *fields) for fmt, *fields in layers)
+    expected += model.flat.astype("<f4").tobytes()
+    assert (tmp_path / "m.chmd").read_bytes() == expected
+
+
+HUGE_DENSE = struct.pack("<BII", Dense.code, 2**31, 2**31)
+FLATTEN = struct.pack("<B", Flatten.code)
 
 
 @pytest.mark.parametrize(
@@ -234,7 +247,7 @@ FLATTEN = struct.pack("<B", _LAYER_FLATTEN)
         # the same layer where the chain does not fit
         (1024, 3, [FLATTEN, HUGE_DENSE]),
         # a zero-width pooling window
-        (1024, 3, [struct.pack("<BI", _LAYER_POOL, 0)]),
+        (1024, 3, [struct.pack("<BI", MaxPool1D.code, 0)]),
     ],
     ids=["huge-chained", "huge-unchained", "zero-pool"],
 )
