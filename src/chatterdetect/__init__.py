@@ -24,12 +24,9 @@ from .evaluation import (
 from .model import (
     ClassifierModel,
     Hyperparameters,
-    Prediction,
     build_model,
-    forward,
     gradient_check,
     load_model,
-    loss,
     predict_batch,
     save_model,
     save_training_log,

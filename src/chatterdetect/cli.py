@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import defaults
 from .dataset import Split, build_dataset, class_distribution, load_dataset, save_dataset
-from .errors import ChatterError, EmptyDataset
+from .errors import ChatterError, EmptyDataset, IoFailure
 from .evaluation import build_report, emit_report
 from .model import (
     Hyperparameters,
@@ -233,7 +233,7 @@ def cmd_train(args) -> int:
         dropout_rate=args.dropout,
         rng_seed=args.seed,
     )
-    model = build_model(args.seed, dropout_rate=args.dropout)
+    model = build_model(args.seed)
     train(model, ds, hp)
     save_model(model, args.out)
     save_training_log(model.training_log, str(args.out) + ".log.csv")
@@ -261,7 +261,10 @@ def cmd_predict(args) -> int:
     signal = load_wav(args.wav)
     frames = extract_frames(signal)
     if args.emit_frames:
-        Path(args.emit_frames).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.emit_frames).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(f"cannot create {args.emit_frames}: {exc}") from exc
     print("t_start,label,p_chatter,p_machining,p_rotation")
     for frame in frames:
         probs = predict_batch(model, frame.lines.reshape(1, -1))[0]

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .errors import CorruptDataset, EmptyDataset, IoFailure, MissingClass
+from .errors import BadSourceId, CorruptDataset, EmptyDataset, IoFailure, MissingClass
 from .signal_io import CLASS_ORDER, MachiningClass
 from .spectral import SpectralConfig, extract_frames, frame_counts, frame_lines_valid
 
@@ -151,6 +151,10 @@ def build_dataset(
         source_ids = [f"signal-{i:04d}" for i in range(len(pairs))]
     if len(source_ids) != len(pairs):
         raise ValueError("source_ids must parallel pairs")
+    for source_id in source_ids:
+        # the manifest is read by str.splitlines and joins the ids with |
+        if "|" in source_id or "".join(source_id.splitlines()) != source_id:
+            raise BadSourceId(f"source id {source_id!r} holds | or a line break")
 
     # room for every frame; the kept ones are packed to the front
     framing = [frame_counts(s.samples.size, s.sample_rate_hz, config) for s, _, _ in pairs]

@@ -23,6 +23,10 @@ class SampleRateTooLow(ChatterError):
     """Sample rate cannot cover the 0-2500 Hz analysis band."""
 
 
+class NonFiniteSamples(ChatterError):
+    """A signal holds NaN or infinite samples."""
+
+
 class IoFailure(ChatterError):
     """Underlying OS-level read/write failure."""
 
@@ -36,7 +40,8 @@ class ParseError(ChatterError):
 
 
 class UnknownLabel(ChatterError):
-    """Label token outside {chatter, machining, rotation}."""
+    """Label token outside {chatter, machining, rotation}, or a class code
+    outside 0..2."""
 
 
 class OverlappingIntervals(ChatterError):
@@ -75,6 +80,10 @@ class EmptyDataset(ChatterError):
 
 class MissingClass(ChatterError):
     """A class that should be present in the training split is not."""
+
+
+class BadSourceId(ChatterError):
+    """Source id holds a separator of the dataset manifest: | or a line break."""
 
 
 class CorruptDataset(ChatterError):

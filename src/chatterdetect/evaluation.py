@@ -19,6 +19,7 @@ from .errors import (
     EmptyMatrix,
     IoFailure,
     LengthMismatch,
+    UnknownLabel,
 )
 from .signal_io import CLASS_ORDER, MachiningClass
 
@@ -81,20 +82,18 @@ class EvaluationReport:
     )
 
 
-def _predicted_class(p) -> int:
-    return int(getattr(p, "predicted", p))
-
-
 def confusion(predictions, labels) -> ConfusionMatrix:
-    predictions, labels = list(predictions), list(labels)
-    if len(predictions) != len(labels):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(labels)} labels")
-    if not predictions:
+    """Counts of (true, predicted) class-code pairs; codes must lie in 0..2."""
+    pred = np.asarray(predictions, dtype=np.int64)
+    true = np.asarray(labels, dtype=np.int64)
+    if pred.shape != true.shape:
+        raise LengthMismatch(f"{pred.size} predictions vs {true.size} labels")
+    if pred.size == 0:
         raise EmptyInput("no prediction/label pairs")
-    counts = np.zeros((3, 3), dtype=np.int64)
-    for pred, true in zip(predictions, labels):
-        counts[int(true), _predicted_class(pred)] += 1
-    return ConfusionMatrix(counts)
+    n = len(CLASS_ORDER)
+    if min(pred.min(), true.min()) < 0 or max(pred.max(), true.max()) >= n:
+        raise UnknownLabel(f"class codes must lie in 0..{n - 1}")
+    return ConfusionMatrix(np.bincount(true * n + pred, minlength=n * n).reshape(n, n))
 
 
 def class_metrics(cm: ConfusionMatrix) -> ClassMetrics:
@@ -153,8 +152,7 @@ def build_report(
     """Assemble the full report; ROC is skipped (None) for one-sided classes."""
     probs = np.asarray(probabilities, dtype=np.float64)
     y = list(labels)
-    preds = probs.argmax(axis=1)
-    cm = confusion(preds.tolist(), y)
+    cm = confusion(probs.argmax(axis=1), y)
     curves: dict[MachiningClass, RocCurve | None] = {}
     for cls in CLASS_ORDER:
         try:

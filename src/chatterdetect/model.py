@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,12 +55,6 @@ class Hyperparameters:
             raise ValueError("learning_rate must be finite and non-negative")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must lie in [0, 1)")
-
-
-@dataclass(frozen=True)
-class Prediction:
-    probabilities: np.ndarray  # 3 values, non-negative, summing to 1
-    predicted: MachiningClass
 
 
 @dataclass
@@ -275,11 +268,7 @@ class ClassifierModel:
 
     def parameters(self):
         """[(layer_index, name, array)] in a fixed, serialization-stable order."""
-        out = []
-        for i, layer in enumerate(self.layers):
-            for name in layer.params:
-                out.append((i, name, getattr(layer, name)))
-        return out
+        return _parameter_views(self.layers, self.flat)
 
     def parameter_count(self) -> int:
         return self.flat.size
@@ -307,8 +296,9 @@ def _parameter_views(layers, vec):
     return out
 
 
-def build_model(seed: int, dropout_rate: float = defaults.DROPOUT_RATE) -> ClassifierModel:
-    """He-uniform initialized network from a seed; biases start at zero."""
+def build_model(seed: int) -> ClassifierModel:
+    """He-uniform initialized network from a seed; biases start at zero.
+    `train` sets the dropout rate from its hyperparameters."""
     rng = np.random.default_rng(seed)
 
     def he_uniform(shape, fan_in):
@@ -320,7 +310,7 @@ def build_model(seed: int, dropout_rate: float = defaults.DROPOUT_RATE) -> Class
         Conv1D(1, 16, 7), ReLU(), MaxPool1D(4),
         Conv1D(16, 32, 5), ReLU(), MaxPool1D(4),
         Flatten(),
-        Dense(length * 32, 128), ReLU(), Dropout(dropout_rate),
+        Dense(length * 32, 128), ReLU(), Dropout(defaults.DROPOUT_RATE),
         Dense(128, 64), ReLU(),
         Dense(64, defaults.N_CLASSES),
     ]
@@ -359,34 +349,30 @@ def predict_batch(model: ClassifierModel, lines_matrix) -> np.ndarray:
     return _forward_batch(model, x, training=False)
 
 
-def forward(
-    model: ClassifierModel, lines, training: bool = False, strict: bool = False
-) -> Prediction:
-    """Classify one frame. With training=True, dropout draws from the model rng."""
-    x = np.asarray(lines, dtype=np.float32).reshape(-1)
-    if x.size != model.n_inputs:
-        raise WrongInputLength(f"expected {model.n_inputs} values, got {x.size}")
-    if strict and (x.min() < model.input_floor_db - 1e-6 or x.max() > 1e-6):
-        warnings.warn(
-            f"input lines outside [{model.input_floor_db:g}, 0] dB", stacklevel=2
-        )
-    probs = _forward_batch(model, x.reshape(1, -1), training=training)[0]
-    return Prediction(probs, MachiningClass(int(np.argmax(probs))))
+def _cross_entropy(probs, y):
+    """(summed cross-entropy, number correct) of softmax outputs against labels."""
+    p_true = probs[np.arange(len(y)), y]
+    loss = float(-np.log(np.maximum(p_true, 1e-12)).sum())
+    return loss, int((probs.argmax(axis=1) == y).sum())
 
 
-def loss(probabilities, label: MachiningClass) -> float:
-    """Categorical cross-entropy for one prediction."""
-    p = float(np.asarray(probabilities)[int(label)])
-    return -float(np.log(max(p, 1e-12)))
+def _backward(layers, probs, y, ctxs) -> None:
+    """Backpropagate the batch-mean cross-entropy through `layers` into their
+    forward contexts `ctxs`; overwrites the softmax output `probs`."""
+    grad = probs
+    grad[np.arange(len(y)), y] -= 1.0
+    grad /= len(y)
+    for layer, ctx in zip(reversed(layers), reversed(ctxs)):
+        grad = layer.backward(grad, ctx)
 
 
 def _eval_arrays(model, x, y, batch=512):
     total_loss, correct = 0.0, 0
     for start in range(0, len(y), batch):
         probs = _forward_batch(model, x[start : start + batch], training=False)
-        p_true = probs[np.arange(len(probs)), y[start : start + batch]]
-        total_loss += float(-np.log(np.maximum(p_true, 1e-12)).sum())
-        correct += int((probs.argmax(axis=1) == y[start : start + batch]).sum())
+        batch_loss, batch_correct = _cross_entropy(probs, y[start : start + batch])
+        total_loss += batch_loss
+        correct += batch_correct
     return total_loss / len(y), correct / len(y)
 
 
@@ -404,6 +390,7 @@ def train(
         names = ", ".join(MachiningClass(c).token for c in sorted(missing))
         raise MissingClass(f"class(es) absent from the training split: {names}")
 
+    # the layer carries the rate into the model file
     for layer in model.layers:
         if isinstance(layer, Dropout):
             layer.rate = hp.dropout_rate
@@ -430,17 +417,10 @@ def train(
             idx = order[start : start + hp.batch_size]
             xb, yb = x_train[idx], y_train[idx]
             probs = _forward_batch(model, xb, training=True, ctxs=ctxs)
-
-            rows = np.arange(len(yb))
-            p_true = probs[rows, yb]
-            epoch_loss += float(-np.log(np.maximum(p_true, 1e-12)).sum())
-            epoch_correct += int((probs.argmax(axis=1) == yb).sum())
-
-            grad = probs  # the softmax output is not read again
-            grad[rows, yb] -= 1.0
-            grad /= len(yb)  # mean gradient over the batch
-            for layer, ctx in zip(reversed(model.layers), reversed(ctxs)):
-                grad = layer.backward(grad, ctx)
+            batch_loss, batch_correct = _cross_entropy(probs, yb)
+            epoch_loss += batch_loss
+            epoch_correct += batch_correct
+            _backward(model.layers, probs, yb, ctxs)
             _rmsprop_step(flat, grads, cache, scratch, hp)
 
         val_loss, val_acc = _eval_arrays(model, x_val, y_val)
@@ -535,10 +515,7 @@ def gradient_check(
 
     ctxs = [{} for _ in m.layers]
     probs = _forward_batch(m, x, training=False, ctxs=ctxs)
-    grad = probs.copy()
-    grad[0, y] -= 1.0
-    for layer, ctx in zip(reversed(m.layers), reversed(ctxs)):
-        grad = layer.backward(grad, ctx)
+    _backward(m.layers, probs, np.array([y]), ctxs)
     analytic = {(i, name): ctxs[i]["d" + name] for i, name, _ in m.parameters()}
 
     def probe(tensor, j, offset):

@@ -20,6 +20,7 @@ from .errors import (
     EmptyTrack,
     IoFailure,
     MalformedContainer,
+    NonFiniteSamples,
     OverlappingIntervals,
     ParseError,
     SampleRateTooLow,
@@ -78,6 +79,10 @@ class TimeSignal:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D sequence")
+        # min and max are NaN or infinite exactly when a sample is, and
+        # unlike isfinite they need no array as large as the signal
+        if not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max())):
+            raise NonFiniteSamples("samples must be finite (no NaN or infinity)")
         if self.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
             raise SampleRateTooLow(
                 f"sample rate {self.sample_rate_hz} Hz is below the "
@@ -130,7 +135,8 @@ def load_wav(path) -> TimeSignal:
     """Read a RIFF/WAVE file into a TimeSignal.
 
     16-bit PCM is scaled by 1/32768 into [-1, 1]; 32-bit float is taken
-    as-is. Multi-channel files use channel 0 (with a warning).
+    as-is, and NaN or infinite samples are rejected. Multi-channel files
+    use channel 0 (with a warning).
     """
     try:
         buf = Path(path).read_bytes()
@@ -160,9 +166,6 @@ def load_wav(path) -> TimeSignal:
         raise MalformedContainer(f"missing data chunk in {path}")
 
     audio_format, n_channels, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
-    if n_channels < 1 or block_align < 1:
-        raise MalformedContainer(f"nonsensical fmt fields in {path}")
-
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
         dtype, scale = "<i2", 1.0 / PCM16_SCALE
     elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
@@ -172,6 +175,10 @@ def load_wav(path) -> TimeSignal:
             f"format {audio_format} / {bits} bit not supported (want PCM16 or float32)"
         )
 
+    if n_channels < 1 or block_align != n_channels * bits // 8:
+        raise MalformedContainer(
+            f"{path}: block_align {block_align} does not hold {n_channels} {bits}-bit sample(s)"
+        )
     if rate < MIN_SAMPLE_RATE_HZ:
         raise SampleRateTooLow(f"{path}: {rate} Hz is below {MIN_SAMPLE_RATE_HZ:g} Hz")
 

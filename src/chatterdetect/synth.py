@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import defaults
-from .errors import InfeasibleSpec, IoFailure
+from .errors import ChatterError, InfeasibleSpec, IoFailure
 from .signal_io import (
     CLASS_ORDER,
     LabelInterval,
@@ -107,6 +108,11 @@ class SynthSpec:
     @property
     def f_tooth_pass_hz(self) -> float:
         return self.n_teeth * self.spindle_rpm / 60.0
+
+
+# a corpus manifest stores these fields of a spec after its class
+_SPEC_VALUES = [f.name for f in fields(SynthSpec) if f.name != "signal_class"]
+_SPEC_TYPES = get_type_hints(SynthSpec)
 
 
 def harmonic_grid_distance(frequency_hz: float, f_tp_hz: float) -> float:
@@ -284,33 +290,14 @@ def generate_corpus(
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:
-    return {
-        "class": spec.signal_class.token,
-        "spindle_rpm": spec.spindle_rpm,
-        "n_teeth": spec.n_teeth,
-        "structural_mode_hz": spec.structural_mode_hz,
-        "chatter_ratio": spec.chatter_ratio,
-        "noise_sigma": spec.noise_sigma,
-        "amplitude_scale": spec.amplitude_scale,
-        "duration_s": spec.duration_s,
-        "seed": spec.seed,
-        "ambiguity": spec.ambiguity,
-    }
+    """The class token under "class", then the other fields in declaration order."""
+    return {"class": spec.signal_class.token} | {n: getattr(spec, n) for n in _SPEC_VALUES}
 
 
 def spec_from_dict(d: dict) -> SynthSpec:
-    return SynthSpec(
-        signal_class=class_from_token(d["class"]),
-        spindle_rpm=float(d["spindle_rpm"]),
-        n_teeth=int(d["n_teeth"]),
-        structural_mode_hz=float(d["structural_mode_hz"]),
-        chatter_ratio=float(d["chatter_ratio"]),
-        noise_sigma=float(d["noise_sigma"]),
-        amplitude_scale=float(d["amplitude_scale"]),
-        duration_s=float(d["duration_s"]),
-        seed=int(d["seed"]),
-        ambiguity=float(d["ambiguity"]),
-    )
+    """Inverse of `spec_to_dict`; each value is converted by its field's type."""
+    values = {n: _SPEC_TYPES[n](d[n]) for n in _SPEC_VALUES}
+    return SynthSpec(class_from_token(str(d["class"])), **values)
 
 
 def write_corpus(items: list[CorpusItem], out_dir) -> None:
@@ -354,27 +341,32 @@ def read_corpus(in_dir) -> list[CorpusItem]:
     """
     src = Path(in_dir)
     manifest_path = src / MANIFEST_NAME
-    items = []
     if manifest_path.exists():
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise IoFailure(f"cannot read corpus manifest: {exc}") from exc
-        for rec in manifest["signals"]:
-            items.append(
-                CorpusItem(
-                    item_id=rec["id"],
-                    signal=load_wav(src / rec["wav"]),
-                    labels=load_labels(src / rec["labels"]),
-                    ambiguous=bool(rec["ambiguous"]),
-                    spec=spec_from_dict(rec["spec"]) if rec.get("spec") else None,
+            records = [
+                (
+                    str(rec["id"]),
+                    src / rec["wav"],
+                    src / rec["labels"],
+                    bool(rec["ambiguous"]),
+                    spec_from_dict(rec["spec"]) if rec.get("spec") else None,
                 )
-            )
-        return items
+                for rec in manifest["signals"]
+            ]
+        # the wrong shape (TypeError), a missing key, or a spec value that
+        # its field's type or SynthSpec rejects
+        except (OSError, ValueError, KeyError, TypeError, ChatterError) as exc:
+            raise IoFailure(f"cannot read corpus manifest: {exc!r}") from exc
+        return [
+            CorpusItem(item_id, load_wav(wav), load_labels(labels), ambiguous, spec)
+            for item_id, wav, labels, ambiguous, spec in records
+        ]
 
     wavs = sorted(src.glob("*.wav"))
     if not wavs:
         raise IoFailure(f"no corpus manifest and no WAV files in {src}")
+    items = []
     for wav in wavs:
         labels_path = wav.with_name(wav.stem + ".labels.csv")
         if not labels_path.exists():

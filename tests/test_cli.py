@@ -137,6 +137,45 @@ def test_predict_stops_quietly_when_stdout_closes(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err == ""
 
 
+def test_predict_rows_are_per_frame_predict_batch(tmp_path, capsys, trained_small_model):
+    # one frame per predict_batch call: a batched call rounds differently
+    corpus, model = tmp_path / "corpus", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    cd.save_model(trained_small_model, model)
+    wav = next(corpus.glob("chatter-*.wav"))
+    capsys.readouterr()
+    assert run(["predict", "--model", str(model), "--wav", str(wav)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    frames = cd.extract_frames(cd.load_wav(wav))
+    assert len(rows) == len(frames)
+    for row, frame in zip(rows, frames):
+        probs = cd.predict_batch(trained_small_model, frame.lines.reshape(1, -1))[0]
+        label = cd.MachiningClass(int(probs.argmax())).token
+        assert row == f"{frame.t_start_s:.6g},{label}," + ",".join(f"{p:.6g}" for p in probs)
+
+
+def test_emit_frames_onto_an_existing_file_exits_2(tmp_path, capsys):
+    corpus, model = tmp_path / "corpus", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    cd.save_model(cd.build_model(0), model)
+    wav = next(corpus.glob("chatter-*.wav"))
+    assert run(["predict", "--model", str(model), "--wav", str(wav),
+                "--emit-frames", str(wav)]) == 2
+    assert "IoFailure" in capsys.readouterr().err
+
+
+def test_malformed_corpus_manifest_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    (corpus / "corpus.json").write_text("[]")
+    assert run(["extract", "--in", str(corpus), "--out", str(tmp_path / "ds"),
+                "--seed", "0"]) == 2
+    assert "IoFailure" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(["synth", "--out", "x"]) == 1          # missing required flag
     assert run(["train", "--nope"]) == 1              # unknown flag

@@ -5,7 +5,7 @@ import pytest
 
 import chatterdetect as cd
 from chatterdetect.dataset import FRAMES_FILE, Split, record_dtype, stratified_split
-from chatterdetect.errors import CorruptDataset, EmptyDataset
+from chatterdetect.errors import BadSourceId, CorruptDataset, EmptyDataset
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 from chatterdetect.spectral import SpectralConfig
 
@@ -132,6 +132,15 @@ def test_save_load_round_trip(tmp_path, small_dataset):
     cd.save_dataset(small_dataset, tmp_path / "ds")
     back = cd.load_dataset(tmp_path / "ds")
     assert back == small_dataset
+
+
+@pytest.mark.parametrize("bad_id", ["a|b", "a\nb", "a\r", "a\u2028b"])
+def test_source_id_holding_a_manifest_separator_is_rejected(bad_id):
+    # the ids are joined with | on one manifest line
+    sig, track = one_chatter_signal()
+    with pytest.raises(BadSourceId):
+        cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
+                         source_ids=[bad_id, "c"])
 
 
 def test_frames_file_size_formula(tmp_path, small_dataset):

@@ -7,6 +7,7 @@ from chatterdetect.errors import (
     EmptyInput,
     EmptyMatrix,
     LengthMismatch,
+    UnknownLabel,
 )
 from chatterdetect.signal_io import CLASS_ORDER, MachiningClass
 
@@ -36,18 +37,19 @@ def test_confusion_single_pair():
     assert cm.counts[0, 0] == 1 and cm.total == 1
 
 
-def test_confusion_accepts_prediction_objects(trained_small_model, real_frames):
-    preds = [cd.forward(trained_small_model, f) for f in real_frames]
-    labels = [MachiningClass.CHATTER] * len(preds)
-    cm = cd.confusion(preds, labels)
-    assert cm.total == len(preds)
-
-
 def test_confusion_errors():
     with pytest.raises(LengthMismatch):
         cd.confusion([MachiningClass.CHATTER], [])
     with pytest.raises(EmptyInput):
         cd.confusion([], [])
+
+
+@pytest.mark.parametrize("code", [-1, 3])
+def test_confusion_rejects_unknown_class_codes(code):
+    with pytest.raises(UnknownLabel):
+        cd.confusion([0, 1], [code, 1])
+    with pytest.raises(UnknownLabel):
+        cd.confusion([0, code], [0, 1])
 
 
 def test_published_matrix_metrics():

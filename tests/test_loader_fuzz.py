@@ -1,7 +1,8 @@
-"""Damaged dataset and model files must fail with a ChatterError, never
-with another exception."""
+"""Damaged dataset, model and WAV files must fail with a ChatterError,
+never with another exception."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +39,24 @@ def model_file(tmp_path_factory):
     model.flat[...] = np.random.default_rng(5).standard_normal(model.flat.size)
     path = tmp_path_factory.mktemp("fuzz") / "m.chmd"
     cd.save_model(model, path)
+    return path
+
+
+@pytest.fixture(scope="module", params=["pcm16-mono", "float32-stereo"])
+def wav_file(request, tmp_path_factory):
+    """A small valid WAV file of each supported encoding."""
+    path = tmp_path_factory.mktemp("fuzz") / f"{request.param}.wav"
+    samples = np.sin(np.arange(600) / 7.0) * 0.5
+    if request.param == "pcm16-mono":
+        cd.save_wav(cd.TimeSignal(samples, 22050.0), path)
+    else:
+        payload = np.repeat(samples, 2).astype("<f4").tobytes()
+        fmt = struct.pack("<HHIIHH", 3, 2, 22050, 22050 * 8, 8, 32)
+        path.write_bytes(
+            b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(payload)) + payload
+        )
     return path
 
 
@@ -95,6 +114,19 @@ def test_damaged_model_file_raises_only_chatter_errors(model_file, data):
         _load_only_chatter_errors(cd.load_model, model_file)
     finally:
         model_file.write_bytes(valid)
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_wav_file_raises_only_chatter_errors(wav_file, data):
+    valid = wav_file.read_bytes()
+    try:
+        wav_file.write_bytes(data.draw(damaged(valid, head=44)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the multi-channel notice
+            _load_only_chatter_errors(cd.load_wav, wav_file)
+    finally:
+        wav_file.write_bytes(valid)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,14 @@ import pytest
 import chatterdetect as cd
 from chatterdetect.dataset import Split
 from chatterdetect.errors import CorruptModel, EmptyDataset, MissingClass, WrongInputLength
-from chatterdetect.model import MODEL_MAGIC, MODEL_VERSION, Dense, Flatten, MaxPool1D
+from chatterdetect.model import (
+    MODEL_MAGIC,
+    MODEL_VERSION,
+    Dense,
+    Flatten,
+    MaxPool1D,
+    _cross_entropy,
+)
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 
 
@@ -52,42 +59,41 @@ def test_probabilities_sum_to_one():
     model = cd.build_model(1)
     rng = np.random.default_rng(2)
     for _ in range(25):
-        pred = cd.forward(model, rng.uniform(-30, 5, 1024))
-        assert np.all(pred.probabilities >= 0)
-        assert abs(float(pred.probabilities.sum()) - 1.0) <= 1e-6
-        assert pred.predicted == MachiningClass(int(np.argmax(pred.probabilities)))
+        probs = cd.predict_batch(model, rng.uniform(-30, 5, 1024).reshape(1, -1))[0]
+        assert np.all(probs >= 0)
+        assert abs(float(probs.sum()) - 1.0) <= 1e-6
 
 
 def test_wrong_input_length():
     model = cd.build_model(0)
     with pytest.raises(WrongInputLength):
-        cd.forward(model, np.zeros(1023))
+        cd.predict_batch(model, np.zeros(1023).reshape(1, -1))
     with pytest.raises(WrongInputLength):
         cd.predict_batch(model, np.zeros((2, 1025)))
 
 
-def test_strict_mode_flags_out_of_range():
-    model = cd.build_model(0)
-    with pytest.warns(UserWarning):
-        cd.forward(model, np.full(1024, -25.0), strict=True)
-
-
 def test_floor_and_ceiling_frames_differ():
     model = cd.build_model(5)
-    p_floor = cd.forward(model, np.full(1024, -20.0)).probabilities
-    p_zero = cd.forward(model, np.zeros(1024)).probabilities
+    p_floor = cd.predict_batch(model, np.full(1024, -20.0).reshape(1, -1))
+    p_zero = cd.predict_batch(model, np.zeros(1024).reshape(1, -1))
     assert not np.array_equal(p_floor, p_zero)
 
 
 def test_loss_values():
-    assert cd.loss(np.array([1.0, 0.0, 0.0]), MachiningClass.CHATTER) == 0.0
-    uniform = np.full(3, 1.0 / 3.0)
-    assert cd.loss(uniform, MachiningClass.MACHINING_NO_CHATTER) == pytest.approx(
+    def loss(probs, label):
+        return _cross_entropy(np.array([probs]), np.array([int(label)]))[0]
+
+    assert loss([1.0, 0.0, 0.0], MachiningClass.CHATTER) == 0.0
+    uniform = [1.0 / 3.0] * 3
+    assert loss(uniform, MachiningClass.MACHINING_NO_CHATTER) == pytest.approx(
         math.log(3.0), abs=1e-9
     )
-    assert cd.loss(np.array([0.5, 0.25, 0.25]), MachiningClass.CHATTER) == pytest.approx(
+    assert loss([0.5, 0.25, 0.25], MachiningClass.CHATTER) == pytest.approx(
         math.log(2.0), abs=1e-9
     )
+    # a batch sums its losses and counts the argmax hits
+    total, correct = _cross_entropy(np.array([[0.5, 0.25, 0.25], [0.2, 0.7, 0.1]]), np.array([0, 2]))
+    assert total == pytest.approx(math.log(2.0) + math.log(10.0), abs=1e-9) and correct == 1
 
 
 def test_zero_epochs_is_identity(small_dataset):

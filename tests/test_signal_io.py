@@ -10,6 +10,7 @@ from chatterdetect.errors import (
     AmplitudeOutOfRange,
     EmptyTrack,
     MalformedContainer,
+    NonFiniteSamples,
     OverlappingIntervals,
     ParseError,
     SampleRateTooLow,
@@ -107,6 +108,30 @@ def test_load_wav_multichannel_uses_channel_zero(tmp_path):
     with pytest.warns(UserWarning):
         sig = cd.load_wav(path)
     assert np.array_equal(sig.samples, left.astype(np.float64) / 32768)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_are_rejected(tmp_path, bad):
+    values = np.zeros(1000, dtype="<f4")
+    values[500] = bad
+    with pytest.raises(NonFiniteSamples):
+        cd.TimeSignal(values.astype(np.float64), 22050.0)
+    path = tmp_path / "f32.wav"
+    path.write_bytes(wav_bytes(22050, values.tobytes(), audio_format=3, bits=32))
+    with pytest.raises(NonFiniteSamples):
+        cd.load_wav(path)
+
+
+@pytest.mark.parametrize("n_channels,block_align", [(3, 2), (1, 4), (2, 2), (0, 0)])
+def test_load_wav_rejects_block_align_that_does_not_fit(tmp_path, n_channels, block_align):
+    blob = bytearray(wav_bytes(22050, np.zeros(600, dtype="<i2").tobytes()))
+    # the fmt chunk's channel count and block_align fields
+    struct.pack_into("<H", blob, 22, n_channels)
+    struct.pack_into("<H", blob, 32, block_align)
+    path = tmp_path / "odd.wav"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(MalformedContainer):
+        cd.load_wav(path)
 
 
 def test_save_wav_zeros_writes_zero_frames(tmp_path):

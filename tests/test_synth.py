@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import chatterdetect as cd
-from chatterdetect.errors import InfeasibleSpec
+from chatterdetect.errors import InfeasibleSpec, IoFailure
+from chatterdetect.synth import MANIFEST_NAME, spec_from_dict, spec_to_dict
 from chatterdetect.spectral import SpectralConfig
 
 CFG = SpectralConfig()
@@ -167,6 +170,63 @@ def test_corpus_round_trip_via_directory(tmp_path, small_corpus):
         assert a.labels == b.labels
         # WAV quantization: equal within one 16-bit step
         assert np.max(np.abs(a.signal.samples - b.signal.samples)) <= 1.0 / 32768
+
+
+def test_spec_dict_lists_class_then_fields_in_order():
+    spec = cd.SynthSpec(cd.MachiningClass.MACHINING_NO_CHATTER, 1800.5, 4, 955.25,
+                        chatter_ratio=2.5, seed=7, ambiguity=0.2)
+    d = spec_to_dict(spec)
+    assert list(d) == ["class", "spindle_rpm", "n_teeth", "structural_mode_hz",
+                       "chatter_ratio", "noise_sigma", "amplitude_scale", "duration_s",
+                       "seed", "ambiguity"]
+    assert d["class"] == "machining" and d["n_teeth"] == 4 and d["seed"] == 7
+    assert spec_from_dict(d) == spec
+    # values are converted by each field's type
+    back = spec_from_dict(dict(d, n_teeth="4", spindle_rpm="1800.5"))
+    assert back == spec and type(back.n_teeth) is int
+
+
+_DROP = object()
+
+
+def _with(doc, *keys, value=_DROP):
+    """`doc` with the item at `keys` set to `value`, or deleted."""
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    if value is _DROP:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    return doc
+
+
+BROKEN_MANIFESTS = {
+    "list": lambda m: m["signals"],
+    "string": lambda m: "signals",
+    "no-signals": lambda m: _with(m, "signals"),
+    "signals-not-a-list": lambda m: _with(m, "signals", value=5),
+    "record-not-a-dict": lambda m: _with(m, "signals", value=["a"]),
+    "no-id": lambda m: _with(m, "signals", 0, "id"),
+    "no-wav": lambda m: _with(m, "signals", 0, "wav"),
+    "no-ambiguous": lambda m: _with(m, "signals", 0, "ambiguous"),
+    "spec-not-a-dict": lambda m: _with(m, "signals", 0, "spec", value=[1, 2]),
+    "spec-missing-field": lambda m: _with(m, "signals", 0, "spec", "seed"),
+    "spec-bad-number": lambda m: _with(m, "signals", 0, "spec", "spindle_rpm", value="fast"),
+    "spec-null-number": lambda m: _with(m, "signals", 0, "spec", "n_teeth", value=None),
+    "spec-bad-class": lambda m: _with(m, "signals", 0, "spec", "class", value="drilling"),
+    "spec-out-of-range": lambda m: _with(m, "signals", 0, "spec", "amplitude_scale", value=-1),
+    "spec-infeasible": lambda m: _with(m, "signals", 0, "spec", "spindle_rpm", value=1e6),
+}
+
+
+@pytest.mark.parametrize("damage", list(BROKEN_MANIFESTS))
+def test_malformed_corpus_manifest_is_io_failure(tmp_path, small_corpus, damage):
+    cd.write_corpus(small_corpus[:2], tmp_path)
+    manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
+    (tmp_path / MANIFEST_NAME).write_text(json.dumps(BROKEN_MANIFESTS[damage](manifest)))
+    with pytest.raises(IoFailure):
+        cd.read_corpus(tmp_path)
 
 
 def test_read_corpus_without_manifest(tmp_path):
