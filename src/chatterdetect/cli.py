@@ -52,16 +52,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _rpm_list(text: str):
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad rpm list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("rpm list is empty")
-    return values
-
-
 def _checked(convert, ok, what: str):
     """An argparse type: `convert`, then reject values for which `ok` fails,
     so out-of-range numbers are usage errors rather than tracebacks."""
@@ -83,6 +73,12 @@ _count = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _checked(float, lambda v: math.isfinite(v) and v > 0, "a positive number")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a non-negative number")
 _fraction = _checked(float, lambda v: 0 <= v < 1, "in [0, 1)")
+_share = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_rpm_list = _checked(
+    lambda text: [float(v) for v in text.split(",") if v.strip()],
+    lambda vs: vs and all(math.isfinite(v) and v > 0 for v in vs),
+    "a comma-separated list of positive speeds",
+)
 _lines = _checked(int, lambda v: v >= 2, "an integer of at least 2")
 
 
@@ -110,9 +106,11 @@ def _load_config(path) -> dict[str, str]:
 
 def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
     overrides = overrides or {}
+    unused = set(overrides)
 
     def add(parser, *flags, **kwargs):
         dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
+        unused.discard(dest)
         if dest in overrides:
             convert = kwargs.get("type", str)
             try:
@@ -134,11 +132,11 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
     add(p, "--out", required=True, help="corpus output directory")
-    add(p, "--per-class", type=int, required=True, help="signals per class")
-    add(p, "--ambiguous-frac", type=float, default=0.0, help="ambiguous fraction per class")
+    add(p, "--per-class", type=_positive_int, required=True, help="signals per class")
+    add(p, "--ambiguous-frac", type=_share, default=0.0, help="ambiguous fraction per class")
     add(p, "--rpm", type=_rpm_list, default=[1800.0, 3000.0], help="comma-separated spindle speeds")
     add(p, "--seed", type=_count, default=0)
-    add(p, "--duration", type=float, default=1.0, help="seconds per signal")
+    add(p, "--duration", type=_positive, default=1.0, help="seconds per signal")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="build a frame dataset from a corpus")
@@ -177,6 +175,8 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
     add(p, "--emit-frames", dest="emit_frames", default=None, help="write per-frame PGMs here")
     p.set_defaults(func=cmd_predict)
 
+    if unused:
+        raise ChatterError(f"config key(s) match no flag: {', '.join(sorted(unused))}")
     return parser
 
 

@@ -197,10 +197,10 @@ def build_dataset(
         "n_lines": str(config.n_lines),
         "hop_s": repr(config.hop_s),
         "window_s": repr(config.window_s),
-        "f_min_hz": repr(config.f_min_hz),
+        "f_min_hz": "0.0",
         "f_max_hz": repr(config.f_max_hz),
         "crop_db": repr(config.crop_db),
-        "taper": config.taper,
+        "taper": "hann",
         "split_seed": str(split_seed),
         "test_fraction": repr(test_fraction),
         "dropped_frames": str(n_frames - kept),

@@ -24,7 +24,7 @@ class SampleRateTooLow(ChatterError):
 
 
 class NonFiniteSamples(ChatterError):
-    """A signal holds NaN or infinite samples."""
+    """A signal holds NaN or infinite samples, or has a non-finite sample rate."""
 
 
 class IoFailure(ChatterError):

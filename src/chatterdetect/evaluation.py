@@ -7,8 +7,7 @@ so re-emitting an identical report reproduces identical bytes.
 
 from __future__ import annotations
 
-import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,9 +76,12 @@ class EvaluationReport:
     roc_curves: dict[MachiningClass, RocCurve | None]
     split_id: str
     model_id: str
-    timestamp: str = field(
-        default_factory=lambda: datetime.datetime.now().isoformat(timespec="seconds")
-    )
+
+
+def _check_codes(*codes: np.ndarray) -> None:
+    n = len(CLASS_ORDER)
+    if any(c.size and (c.min() < 0 or c.max() >= n) for c in codes):
+        raise UnknownLabel(f"class codes must lie in 0..{n - 1}")
 
 
 def confusion(predictions, labels) -> ConfusionMatrix:
@@ -90,9 +92,8 @@ def confusion(predictions, labels) -> ConfusionMatrix:
         raise LengthMismatch(f"{pred.size} predictions vs {true.size} labels")
     if pred.size == 0:
         raise EmptyInput("no prediction/label pairs")
+    _check_codes(pred, true)
     n = len(CLASS_ORDER)
-    if min(pred.min(), true.min()) < 0 or max(pred.max(), true.max()) >= n:
-        raise UnknownLabel(f"class codes must lie in 0..{n - 1}")
     return ConfusionMatrix(np.bincount(true * n + pred, minlength=n * n).reshape(n, n))
 
 
@@ -125,6 +126,7 @@ def roc(probabilities, labels, positive_class: MachiningClass) -> RocCurve:
     y = np.asarray([int(v) for v in labels])
     if probs.ndim != 2 or probs.shape[0] != y.size:
         raise LengthMismatch("probabilities and labels do not align")
+    _check_codes(y)
     scores = probs[:, int(positive_class)]
     positive = y == int(positive_class)
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())

@@ -83,6 +83,8 @@ class TimeSignal:
         # unlike isfinite they need no array as large as the signal
         if not (np.isfinite(self.samples.min()) and np.isfinite(self.samples.max())):
             raise NonFiniteSamples("samples must be finite (no NaN or infinity)")
+        if not np.isfinite(self.sample_rate_hz):
+            raise NonFiniteSamples(f"sample rate {self.sample_rate_hz} Hz is not finite")
         if self.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
             raise SampleRateTooLow(
                 f"sample rate {self.sample_rate_hz} Hz is below the "
@@ -225,6 +227,8 @@ def load_labels(path) -> LabelTrack:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
 
     intervals = []
     for lineno, line in enumerate(text.splitlines(), start=1):

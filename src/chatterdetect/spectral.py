@@ -30,40 +30,34 @@ from .signal_io import TimeSignal
 PEAK_QUANT_LEVELS = 32768
 MIN_WINDOW_SAMPLES = 16
 
-_TAPERS = ("hann", "rectangular")
+# Frames per FFT pass in extract_frames. A padded row is 16 384 float64
+# points (128 KB) at the default config and 22 050 Hz, so a 240 s recording
+# in one pass would need 315 MB of padded rows; 32 rows need 4 MB.
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
 class SpectralConfig:
-    """Framing and spectrum parameters. Defaults are the paper-pinned values."""
+    """Framing and spectrum parameters for a Hann window and a line grid
+    from 0 Hz. Defaults are the paper-pinned values."""
 
     hop_s: float = defaults.HOP_S
     window_s: float = defaults.WINDOW_S
     n_lines: int = defaults.N_LINES
-    f_min_hz: float = defaults.F_MIN_HZ
     f_max_hz: float = defaults.F_MAX_HZ
     crop_db: float = defaults.CROP_DB
-    taper: str = "hann"
 
     def __post_init__(self):
-        if self.hop_s <= 0:
-            raise ValueError("hop_s must be positive")
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.n_lines < 2:
+        # each check is written so that NaN fails it
+        for name in ("hop_s", "window_s", "f_max_hz", "crop_db"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.n_lines >= 2:
             raise ValueError("n_lines must be at least 2")
-        if not self.f_min_hz < self.f_max_hz:
-            raise ValueError("f_min_hz must be below f_max_hz")
-        if self.crop_db <= 0:
-            raise ValueError("crop_db must be positive")
-        if self.taper not in _TAPERS:
-            raise ValueError(f"taper must be one of {_TAPERS}")
 
     def grid_hz(self) -> np.ndarray:
-        """The uniform frequency grid: line 0 at f_min, line n_lines-1 at f_max."""
-        return self.f_min_hz + np.arange(self.n_lines) * (
-            (self.f_max_hz - self.f_min_hz) / (self.n_lines - 1)
-        )
+        """The uniform frequency grid: line 0 at 0 Hz, line n_lines-1 at f_max."""
+        return np.arange(self.n_lines) * (self.f_max_hz / (self.n_lines - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,44 +83,41 @@ def frame_counts(n_samples: int, sample_rate_hz: float, config: SpectralConfig):
     return hop_n, window_n, n_frames
 
 
-def frame_signal(signal: TimeSignal, config: SpectralConfig = SpectralConfig()):
-    """Cut the signal into (frame_index, window) pairs.
+def frame_signal(signal: TimeSignal, config: SpectralConfig = SpectralConfig()) -> np.ndarray:
+    """The signal's frames as a read-only (n_frames, window_n) view.
 
-    Frame k covers samples [k*hop_n, k*hop_n + window_n); trailing samples
+    Row k holds samples [k*hop_n, k*hop_n + window_n); trailing samples
     that do not fill a whole window are dropped.
     """
-    hop_n, window_n, n_frames = frame_counts(
-        signal.samples.size, signal.sample_rate_hz, config
+    x = signal.samples
+    hop_n, window_n, n_frames = frame_counts(x.size, signal.sample_rate_hz, config)
+    (step,) = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (n_frames, window_n), (hop_n * step, step), writeable=False
     )
-    return [
-        (k, signal.samples[k * hop_n : k * hop_n + window_n]) for k in range(n_frames)
-    ]
 
 
 @lru_cache(maxsize=8)
-def _taper_window(n: int, kind: str) -> np.ndarray:
-    if kind == "hann":
-        return np.hanning(n)
-    return np.ones(n)
+def _hann(n: int) -> np.ndarray:
+    return np.hanning(n)
 
 
 def _canonical_window(window: np.ndarray) -> np.ndarray:
-    """Rescale to unit peak and snap to the 1/32768 grid (identity for zeros).
+    """Rescale each row to unit peak and snap it to the 1/32768 grid.
 
     This is what makes the downstream frames exactly scale-invariant:
     scaled copies of a window land on the same quantized array.
     """
     x = np.asarray(window, dtype=np.float64)
-    peak = np.max(np.abs(x))
-    if peak == 0.0:
-        return np.zeros_like(x)
+    peak = np.abs(x).max(axis=-1, keepdims=True)
+    peak[peak == 0] = np.inf  # a zero peak gives a zero scale
     return np.rint(x * (PEAK_QUANT_LEVELS / peak)) / PEAK_QUANT_LEVELS
 
 
 def _n_fft(window_n: int, sample_rate_hz: float, config: SpectralConfig) -> int:
     # Smallest power of two whose raw bin spacing is at most the output
     # grid spacing, so the grid resampling never skips a bin.
-    grid_df = (config.f_max_hz - config.f_min_hz) / (config.n_lines - 1)
+    grid_df = config.f_max_hz / (config.n_lines - 1)
     need = max(window_n, int(np.ceil(sample_rate_hz / grid_df)))
     return 1 << int(need - 1).bit_length()
 
@@ -134,13 +125,12 @@ def _n_fft(window_n: int, sample_rate_hz: float, config: SpectralConfig) -> int:
 def prepare_window(
     window: np.ndarray, sample_rate_hz: float, config: SpectralConfig = SpectralConfig()
 ) -> np.ndarray:
-    """The exact array the FFT runs on: canonicalized, tapered, zero-padded."""
+    """The exact rows the FFT runs on: canonicalized, tapered, zero-padded."""
     x = _canonical_window(window)
-    x = x * _taper_window(x.size, config.taper)
-    n_fft = _n_fft(x.size, sample_rate_hz, config)
-    if n_fft > x.size:
-        x = np.concatenate([x, np.zeros(n_fft - x.size)])
-    return x
+    window_n = x.shape[-1]
+    out = np.zeros(x.shape[:-1] + (_n_fft(window_n, sample_rate_hz, config),))
+    np.multiply(x, _hann(window_n), out=out[..., :window_n])
+    return out
 
 
 def complex_spectrum(
@@ -152,14 +142,20 @@ def complex_spectrum(
     itself uses the one-sided transform in magnitude_spectrum.
     """
     x = prepare_window(window, sample_rate_hz, config)
-    freqs = np.fft.fftfreq(x.size, d=1.0 / sample_rate_hz)
+    freqs = np.fft.fftfreq(x.shape[-1], d=1.0 / sample_rate_hz)
     return freqs, np.fft.fft(x)
+
+
+@lru_cache(maxsize=8)
+def _axes(n_fft: int, sample_rate_hz: float, config: SpectralConfig):
+    """The rfft bin frequencies and the line grid, made once per framing."""
+    return np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz), config.grid_hz()
 
 
 def magnitude_spectrum(
     window: np.ndarray, sample_rate_hz: float, config: SpectralConfig = SpectralConfig()
 ) -> np.ndarray:
-    """FFT magnitudes linearly interpolated onto the n_lines grid."""
+    """FFT magnitudes of each row linearly interpolated onto the line grid."""
     if config.f_max_hz > sample_rate_hz / 2:
         raise BandExceedsNyquist(
             f"f_max {config.f_max_hz:g} Hz exceeds Nyquist {sample_rate_hz / 2:g} Hz"
@@ -169,30 +165,29 @@ def magnitude_spectrum(
         raise ValueError("window must be non-empty")
     x = prepare_window(window, sample_rate_hz, config)
     mags = np.abs(np.fft.rfft(x))
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / sample_rate_hz)
-    return np.interp(config.grid_hz(), freqs, mags)
+    freqs, grid = _axes(x.shape[-1], sample_rate_hz, config)
+    rows = [np.interp(grid, freqs, row) for row in mags.reshape(-1, freqs.size)]
+    return np.reshape(rows, mags.shape[:-1] + grid.shape)
 
 
 def renormalize(
     magnitudes: np.ndarray, config: SpectralConfig = SpectralConfig()
 ) -> np.ndarray:
-    """Express magnitudes in dB relative to their maximum, floored at -crop_db.
+    """Express each row in dB relative to its maximum, floored at -crop_db.
 
-    Zero magnitudes map to the floor; an all-zero input maps to a uniform
-    floor frame. For any other input the maximum line is exactly 0 dB.
-    Scaling all magnitudes by a positive constant leaves the result
-    unchanged -- this is the amplitude erasure.
+    Zero magnitudes map to the floor; an all-zero row maps to a uniform
+    floor frame. For any other row the maximum line is exactly 0 dB.
+    Scaling a row by a positive constant leaves its result unchanged --
+    this is the amplitude erasure.
     """
     m = np.asarray(magnitudes, dtype=np.float64)
     if np.any(m < 0):
         raise ValueError("magnitudes must be non-negative")
     floor = -config.crop_db
-    peak = m.max() if m.size else 0.0
-    if peak == 0.0:
-        return np.full(m.shape, np.float32(floor), dtype=np.float32)
-    lines = np.full(m.shape, floor)
-    pos = m > 0
-    lines[pos] = np.maximum(20.0 * np.log10(m[pos] / peak), floor)
+    peak = m.max(axis=-1, keepdims=True, initial=0.0)
+    peak[peak == 0] = np.inf  # so an all-zero row has all-zero ratios
+    with np.errstate(divide="ignore"):  # a zero ratio is -inf dB: the floor
+        lines = np.maximum(20.0 * np.log10(m / peak), floor)
     return lines.astype(np.float32)
 
 
@@ -208,17 +203,16 @@ def frame_lines_valid(lines: np.ndarray, crop_db: float):
 def extract_frames(
     signal: TimeSignal, config: SpectralConfig = SpectralConfig()
 ) -> list[SpectralFrame]:
-    """Run the whole per-frame pipeline over a signal."""
-    hop_n, _, _ = frame_counts(signal.samples.size, signal.sample_rate_hz, config)
+    """Run the whole pipeline over a signal, _CHUNK frames per pass."""
+    rate = signal.sample_rate_hz
+    hop_n, _, _ = frame_counts(signal.samples.size, rate, config)
+    windows = frame_signal(signal, config)
     out = []
-    for k, window in frame_signal(signal, config):
-        mags = magnitude_spectrum(window, signal.sample_rate_hz, config)
-        out.append(
-            SpectralFrame(
-                frame_index=k,
-                t_start_s=k * hop_n / signal.sample_rate_hz,
-                lines=renormalize(mags, config),
-            )
+    for first in range(0, len(windows), _CHUNK):
+        mags = magnitude_spectrum(windows[first : first + _CHUNK], rate, config)
+        out.extend(
+            SpectralFrame(frame_index=k, t_start_s=k * hop_n / rate, lines=lines)
+            for k, lines in enumerate(renormalize(mags, config), first)
         )
     return out
 

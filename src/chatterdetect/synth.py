@@ -110,9 +110,18 @@ class SynthSpec:
         return self.n_teeth * self.spindle_rpm / 60.0
 
 
+def _integer(value) -> int:
+    """An integer or its decimal text; unlike int(), refuses a bool or a
+    fraction instead of truncating it."""
+    return int(str(value))
+
+
 # a corpus manifest stores these fields of a spec after its class
 _SPEC_VALUES = [f.name for f in fields(SynthSpec) if f.name != "signal_class"]
-_SPEC_TYPES = get_type_hints(SynthSpec)
+_SPEC_TYPES = {
+    name: _integer if kind is int else kind
+    for name, kind in get_type_hints(SynthSpec).items()
+}
 
 
 def harmonic_grid_distance(frequency_hz: float, f_tp_hz: float) -> float:

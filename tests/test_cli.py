@@ -200,6 +200,13 @@ def test_usage_errors_exit_1(capsys):
         ["synth", "--out", "c", "--per-class", "1", "--seed", "-1"],
         ["extract", "--in", "c", "--out", "d", "--seed", "-1"],
         ["train", "--data", "d", "--out", "m", "--seed", "-1"],
+        ["synth", "--out", "c", "--per-class", "0"],
+        ["synth", "--out", "c", "--per-class", "1", "--ambiguous-frac", "2"],
+        ["synth", "--out", "c", "--per-class", "1", "--duration", "0"],
+        ["synth", "--out", "c", "--per-class", "1", "--duration", "nan"],
+        ["synth", "--out", "c", "--per-class", "1", "--rpm", "0"],
+        ["synth", "--out", "c", "--per-class", "1", "--rpm", "-100"],
+        ["synth", "--out", "c", "--per-class", "1", "--rpm", "1800,nan"],
     ],
 )
 def test_out_of_range_values_exit_1(argv, capsys):
@@ -221,6 +228,11 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys):
     assert run(["--config", str(config), "eval", "--model", "m", "--data", "d",
                 "--out", "r"]) == 1
     assert "split" in capsys.readouterr().err
+
+    # a key that matches no flag of any verb is named, not ignored
+    config.write_text("epoch=5\n")
+    assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1
+    assert "epoch" in capsys.readouterr().err
 
     config.write_bytes(b"\xffepochs=1\n")
     assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1

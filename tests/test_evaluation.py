@@ -52,6 +52,12 @@ def test_confusion_rejects_unknown_class_codes(code):
         cd.confusion([0, code], [0, 1])
 
 
+@pytest.mark.parametrize("code", [-1, 5])
+def test_roc_rejects_unknown_class_codes(code):
+    with pytest.raises(UnknownLabel):
+        cd.roc(np.full((3, 3), 1 / 3), [0, code, 1], MachiningClass.CHATTER)
+
+
 def test_published_matrix_metrics():
     cm = cd.ConfusionMatrix(PUBLISHED_CM)
     metrics = cd.class_metrics(cm)

@@ -122,6 +122,12 @@ def test_non_finite_samples_are_rejected(tmp_path, bad):
         cd.load_wav(path)
 
 
+@pytest.mark.parametrize("rate", [np.nan, np.inf])
+def test_non_finite_sample_rate_is_rejected(rate):
+    with pytest.raises(NonFiniteSamples):
+        cd.TimeSignal(np.zeros(2205), rate)
+
+
 @pytest.mark.parametrize("n_channels,block_align", [(3, 2), (1, 4), (2, 2), (0, 0)])
 def test_load_wav_rejects_block_align_that_does_not_fit(tmp_path, n_channels, block_align):
     blob = bytearray(wav_bytes(22050, np.zeros(600, dtype="<i2").tobytes()))
@@ -190,6 +196,13 @@ def test_load_labels_parse_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(ParseError):
             cd.load_labels(path)
+
+
+def test_load_labels_rejects_non_utf8(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_bytes(b"0,1,chatter\n\xff,2,rotation\n")
+    with pytest.raises(ParseError):
+        cd.load_labels(path)
 
 
 def test_load_labels_empty(tmp_path):

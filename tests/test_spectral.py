@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chatterdetect as cd
+from chatterdetect import spectral
 from chatterdetect.errors import BandExceedsNyquist, WindowTooShort
 from chatterdetect.spectral import (
     SpectralConfig,
@@ -30,7 +31,7 @@ def test_frame_count_one_second():
 
 
 def test_frame_count_too_short():
-    assert cd.frame_signal(make_signal(int(0.05 * FS)), CFG) == []
+    assert cd.frame_signal(make_signal(int(0.05 * FS)), CFG).shape == (0, 2205)
 
 
 def test_frame_count_partial_tail_dropped():
@@ -42,7 +43,8 @@ def test_frame_count_partial_tail_dropped():
 def test_frame_windows_cover_expected_samples():
     sig = cd.TimeSignal(np.arange(22050, dtype=float), FS)
     frames = cd.frame_signal(sig, CFG)
-    for k, window in frames:
+    assert frames.shape == (10, 2205) and not frames.flags.writeable
+    for k, window in enumerate(frames):
         assert window[0] == k * 2205
         assert window.size == 2205
 
@@ -94,7 +96,7 @@ def test_parseval_on_prepared_windows():
 
 def test_grid_endpoints():
     grid = CFG.grid_hz()
-    assert grid[0] == CFG.f_min_hz
+    assert grid[0] == 0.0
     assert grid[-1] == pytest.approx(CFG.f_max_hz, abs=1e-9)
     assert grid.size == CFG.n_lines
 
@@ -148,6 +150,22 @@ def test_amplitude_invariance_pipeline():
             assert np.array_equal(f0.lines, f1.lines)
 
 
+def test_whole_recording_frames_equal_single_window_frames():
+    # more than one pass of _CHUNK frames with a partial last pass, and an
+    # all-zero window and a window at full scale among them
+    n_frames = 2 * spectral._CHUNK + 5
+    x = 0.1 * np.random.default_rng(21).standard_normal(n_frames * 2205)
+    x[3 * 2205 : 4 * 2205] = 0.0
+    x[5 * 2205 : 6 * 2205] = np.sign(x[5 * 2205 : 6 * 2205])
+    frames = cd.extract_frames(cd.TimeSignal(x, FS), CFG)
+    assert len(frames) == n_frames
+    for k, frame in enumerate(frames):
+        (alone,) = cd.extract_frames(cd.TimeSignal(x[k * 2205 : (k + 1) * 2205], FS), CFG)
+        assert frame.frame_index == k and frame.t_start_s == k * 2205 / FS
+        assert frame.lines.tobytes() == alone.lines.tobytes()
+    assert np.all(frames[3].lines == np.float32(-CFG.crop_db))
+
+
 def test_extract_frames_invariants(small_corpus):
     frames = cd.extract_frames(small_corpus[0].signal, CFG)
     assert len(frames) == 10
@@ -189,22 +207,19 @@ def test_export_pgm_column_heights(tmp_path):
         assert int((img[:, j] == 255).sum()) == expected
 
 
-def test_rectangular_taper_config():
-    t = np.arange(2205) / FS
-    window = np.sin(2 * np.pi * 1000.0 * t)
-    cfg = SpectralConfig(taper="rectangular")
-    mags = cd.magnitude_spectrum(window, FS, cfg)
-    grid = cfg.grid_hz()
-    assert abs(int(np.argmax(mags)) - int(np.argmin(np.abs(grid - 1000.0)))) <= 1
-
-
-def test_config_validation():
-    for bad in (
-        dict(hop_s=0.0),
-        dict(n_lines=1),
-        dict(f_min_hz=100.0, f_max_hz=50.0),
-        dict(crop_db=0.0),
-        dict(taper="kaiser"),
-    ):
-        with pytest.raises(ValueError):
-            SpectralConfig(**bad)
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("hop_s", 0.0),
+        ("hop_s", np.nan),
+        ("window_s", np.inf),
+        ("n_lines", 1),
+        ("f_max_hz", 0.0),
+        ("f_max_hz", np.inf),
+        ("crop_db", 0.0),
+        ("crop_db", np.nan),
+    ],
+)
+def test_config_validation(field, value):
+    with pytest.raises(ValueError):
+        SpectralConfig(**{field: value})

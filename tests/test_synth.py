@@ -47,7 +47,7 @@ def test_rotation_spectrum_peaks_only_at_spindle_harmonics():
         noise_sigma=0.0, seed=4,
     )
     sig = cd.generate(spec)
-    _, window = cd.frame_signal(sig, CFG)[0]
+    window = cd.frame_signal(sig, CFG)[0]
     mags = cd.magnitude_spectrum(window, sig.sample_rate_hz, CFG)
     f_r = 30.0
     strong = GRID[mags >= 0.1 * mags.max()]
@@ -214,6 +214,9 @@ BROKEN_MANIFESTS = {
     "spec-missing-field": lambda m: _with(m, "signals", 0, "spec", "seed"),
     "spec-bad-number": lambda m: _with(m, "signals", 0, "spec", "spindle_rpm", value="fast"),
     "spec-null-number": lambda m: _with(m, "signals", 0, "spec", "n_teeth", value=None),
+    "spec-fractional-int": lambda m: _with(m, "signals", 0, "spec", "n_teeth", value=3.7),
+    "spec-fractional-seed": lambda m: _with(m, "signals", 0, "spec", "seed", value=1.5),
+    "spec-bool-int": lambda m: _with(m, "signals", 0, "spec", "n_teeth", value=True),
     "spec-bad-class": lambda m: _with(m, "signals", 0, "spec", "class", value="drilling"),
     "spec-out-of-range": lambda m: _with(m, "signals", 0, "spec", "amplitude_scale", value=-1),
     "spec-infeasible": lambda m: _with(m, "signals", 0, "spec", "spindle_rpm", value=1e6),
