@@ -32,6 +32,7 @@ from .evaluation import build_report, emit_report
 from .model import (
     Hyperparameters,
     build_model,
+    check_dataset,
     load_model,
     predict_batch,
     save_model,
@@ -246,6 +247,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ds = load_dataset(args.data)
     model = load_model(args.model)
+    check_dataset(model, ds)
     x, y = ds.split_arrays(next(s for s in Split if s.token == args.split))
     if len(y) == 0:
         raise EmptyDataset(f"split {args.split!r} is empty")

@@ -11,7 +11,7 @@ directory holds a UTF-8 ``manifest`` (the source ids on its
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import IntEnum
 from pathlib import Path
 
@@ -77,6 +77,18 @@ class LabeledDataset:
     @property
     def n_lines(self) -> int:
         return self.records.dtype["lines"].shape[0]
+
+    @property
+    def config(self) -> SpectralConfig:
+        """The spectral config the manifest records; an absent field reads
+        as its default."""
+        try:
+            return SpectralConfig(**{
+                name: type(default)(self.manifest[name])
+                for name, default in asdict(SpectralConfig()).items() if name in self.manifest
+            })
+        except ValueError as exc:
+            raise CorruptDataset(f"manifest spectral config: {exc}") from None
 
     def __len__(self):
         return len(self.records)
@@ -284,18 +296,16 @@ def load_dataset(in_dir) -> LabeledDataset:
         raise CorruptDataset(
             f"frames.bin is {len(blob)} bytes, expected exactly {expected}"
         )
-    try:
-        crop_db = float(manifest["crop_db"])
-    except (KeyError, ValueError):
-        raise CorruptDataset("manifest is missing a usable crop_db") from None
-
-    records = np.frombuffer(blob, dtype=dtype, offset=16)
+    ds = LabeledDataset(np.frombuffer(blob, dtype=dtype, offset=16), sources, manifest)
+    records, config = ds.records, ds.config
+    if config.n_lines != n_lines:
+        raise CorruptDataset(f"manifest says {config.n_lines} lines, frames.bin {n_lines}")
     if np.any(records["label"] > 2) or np.any(records["split"] > 3):
         raise CorruptDataset("label or split code out of range")
     if np.any((records["ambiguous"] != 0) != (records["split"] == Split.TEST2_AMBIGUOUS)):
         raise CorruptDataset("ambiguous flag inconsistent with split assignment")
-    if not np.all(frame_lines_valid(records["lines"], crop_db)):
+    if not np.all(frame_lines_valid(records["lines"], config.crop_db)):
         raise CorruptDataset("frame violates the renormalization invariants")
     if np.any(records["source"] >= len(sources)):
         raise CorruptDataset("source index out of range")
-    return LabeledDataset(records, sources, manifest)
+    return ds

@@ -96,8 +96,12 @@ class WrongInputLength(ChatterError):
     """Classifier input is not exactly n_inputs values."""
 
 
+class FeatureMismatch(ChatterError):
+    """Frames were extracted with a spectral config the model does not take."""
+
+
 class CorruptModel(ChatterError):
-    """Model file failed validation (magic, version, shape chaining)."""
+    """Model file failed validation (magic, version, header, network, weights)."""
 
 
 # evaluation

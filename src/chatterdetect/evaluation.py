@@ -78,21 +78,23 @@ class EvaluationReport:
     model_id: str
 
 
-def _check_codes(*codes: np.ndarray) -> None:
+def _codes(values) -> np.ndarray:
+    """`values` as int64 class codes; UnknownLabel unless each is one of 0..2
+    (so 1.5 or NaN is rejected, not truncated)."""
+    raw = np.asarray(values)
     n = len(CLASS_ORDER)
-    if any(c.size and (c.min() < 0 or c.max() >= n) for c in codes):
+    if not np.isin(raw, np.arange(n)).all():
         raise UnknownLabel(f"class codes must lie in 0..{n - 1}")
+    return raw.astype(np.int64)
 
 
 def confusion(predictions, labels) -> ConfusionMatrix:
     """Counts of (true, predicted) class-code pairs; codes must lie in 0..2."""
-    pred = np.asarray(predictions, dtype=np.int64)
-    true = np.asarray(labels, dtype=np.int64)
+    pred, true = _codes(predictions), _codes(labels)
     if pred.shape != true.shape:
         raise LengthMismatch(f"{pred.size} predictions vs {true.size} labels")
     if pred.size == 0:
         raise EmptyInput("no prediction/label pairs")
-    _check_codes(pred, true)
     n = len(CLASS_ORDER)
     return ConfusionMatrix(np.bincount(true * n + pred, minlength=n * n).reshape(n, n))
 
@@ -123,10 +125,9 @@ def roc(probabilities, labels, positive_class: MachiningClass) -> RocCurve:
     move together, and the AUC is the trapezoidal area.
     """
     probs = np.asarray(probabilities, dtype=np.float64)
-    y = np.asarray([int(v) for v in labels])
+    y = _codes(labels)
     if probs.ndim != 2 or probs.shape[0] != y.size:
         raise LengthMismatch("probabilities and labels do not align")
-    _check_codes(y)
     scores = probs[:, int(positive_class)]
     positive = y == int(positive_class)
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())

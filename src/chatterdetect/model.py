@@ -30,7 +30,9 @@ import numpy as np
 
 from . import defaults
 from .dataset import LabeledDataset, Split
-from .errors import CorruptModel, EmptyDataset, IoFailure, MissingClass, WrongInputLength
+from .errors import (
+    CorruptModel, EmptyDataset, FeatureMismatch, IoFailure, MissingClass, WrongInputLength,
+)
 from .signal_io import CLASS_ORDER, MachiningClass
 
 
@@ -242,15 +244,13 @@ _LAYER_KINDS = {kind.code: kind for kind in (Conv1D, ReLU, MaxPool1D, Flatten, D
 class ClassifierModel:
     """Layer stack plus everything needed to train it reproducibly."""
 
-    def __init__(
-        self, layers, seed: int, input_floor_db: float = -defaults.CROP_DB, flat=None
-    ):
+    def __init__(self, layers, seed: int, n_inputs: int = defaults.N_LINES,
+                 input_floor_db: float = -defaults.CROP_DB, flat=None):
         """Binds every layer's parameters to views into `flat` (zeros of
         float32 if None), which must hold exactly that many values."""
         self.layers = layers
         self.seed = seed
-        self.n_inputs = defaults.N_LINES
-        self.n_classes = defaults.N_CLASSES
+        self.n_inputs = n_inputs
         self.input_floor_db = input_floor_db
         self.training_log: list[EpochStats] = []
         self.rng = np.random.default_rng(seed)
@@ -277,7 +277,7 @@ class ClassifierModel:
         """Structural copy; optionally casts the weights (float64 for checks)."""
         layers = [type(layer)(*layer.args()) for layer in self.layers]
         flat = self.flat.astype(dtype or self.flat.dtype)
-        return ClassifierModel(layers, self.seed, self.input_floor_db, flat)
+        return ClassifierModel(layers, self.seed, self.n_inputs, self.input_floor_db, flat)
 
 
 def _parameter_total(layers) -> int:
@@ -296,6 +296,24 @@ def _parameter_views(layers, vec):
     return out
 
 
+def _network(n_inputs: int, dropout_rate: float) -> list[Layer]:
+    """The classifier's layers over `n_inputs` spectral lines: the one place
+    that decides layer kinds and sizes."""
+    length = ((n_inputs - 7 + 1) // 4 - 5 + 1) // 4  # after both conv + pool stages
+    if not 0 <= dropout_rate < 1:
+        raise ValueError(f"dropout rate {dropout_rate} outside [0, 1)")
+    if length < 1:
+        raise ValueError(f"{n_inputs} input lines are too few for the network")
+    return [
+        Conv1D(1, 16, 7), ReLU(), MaxPool1D(4),
+        Conv1D(16, 32, 5), ReLU(), MaxPool1D(4),
+        Flatten(),
+        Dense(length * 32, 128), ReLU(), Dropout(dropout_rate),
+        Dense(128, 64), ReLU(),
+        Dense(64, defaults.N_CLASSES),
+    ]
+
+
 def build_model(seed: int) -> ClassifierModel:
     """He-uniform initialized network from a seed; biases start at zero.
     `train` sets the dropout rate from its hyperparameters."""
@@ -305,17 +323,8 @@ def build_model(seed: int) -> ClassifierModel:
         limit = np.sqrt(6.0 / fan_in)
         return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
-    length = ((defaults.N_LINES - 7 + 1) // 4 - 5 + 1) // 4
-    layers = [
-        Conv1D(1, 16, 7), ReLU(), MaxPool1D(4),
-        Conv1D(16, 32, 5), ReLU(), MaxPool1D(4),
-        Flatten(),
-        Dense(length * 32, 128), ReLU(), Dropout(defaults.DROPOUT_RATE),
-        Dense(128, 64), ReLU(),
-        Dense(64, defaults.N_CLASSES),
-    ]
-    model = ClassifierModel(layers, seed)
-    for layer in layers:
+    model = ClassifierModel(_network(defaults.N_LINES, defaults.DROPOUT_RATE), seed)
+    for layer in model.layers:
         if "w" in layer.params:
             # a weight matrix's rows are its fan-in: c_in * k, or n_in
             layer.w[...] = he_uniform(layer.w.shape, layer.w.shape[0])
@@ -366,6 +375,19 @@ def _backward(layers, probs, y, ctxs) -> None:
         grad = layer.backward(grad, ctx)
 
 
+def check_dataset(model: ClassifierModel, ds: LabeledDataset) -> None:
+    """Raise FeatureMismatch unless `ds` holds frames `model` takes. A v1
+    model file records the line count and the floor, so the window and band
+    must be the defaults; the hop only spaces the frames, so it is free."""
+    config = ds.config
+    wanted = {"n_lines": model.n_inputs, "crop_db": -model.input_floor_db,
+              "window_s": defaults.WINDOW_S, "f_max_hz": defaults.F_MAX_HZ}
+    wrong = [f"{name} {getattr(config, name)!r} (model: {value!r})"
+             for name, value in wanted.items() if getattr(config, name) != value]
+    if wrong:
+        raise FeatureMismatch("dataset frames do not fit the model: " + ", ".join(wrong))
+
+
 def _eval_arrays(model, x, y, batch=512):
     total_loss, correct = 0.0, 0
     for start in range(0, len(y), batch):
@@ -381,6 +403,7 @@ def train(
 ) -> ClassifierModel:
     """RMSprop training; returns the model carrying the weights of the epoch
     with the best validation accuracy (earliest on ties)."""
+    check_dataset(model, ds)
     x_train, y_train = ds.split_arrays(Split.TRAIN)
     x_val, y_val = ds.split_arrays(Split.VAL)
     if len(y_train) == 0 or len(y_val) == 0:
@@ -566,7 +589,7 @@ def save_model(model: ClassifierModel, path) -> None:
             MODEL_MAGIC,
             MODEL_VERSION,
             model.n_inputs,
-            model.n_classes,
+            defaults.N_CLASSES,
             model.seed,
             model.input_floor_db,
         ),
@@ -583,6 +606,8 @@ def save_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
+    """Reads a model file. It must hold the network `build_model` makes,
+    with any dropout rate in [0, 1), over a finite negative input floor."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -598,6 +623,10 @@ def load_model(path) -> ClassifierModel:
             raise CorruptModel(f"unsupported version {version}")
         if seed < 0:
             raise CorruptModel(f"negative seed {seed}")
+        if n_classes != defaults.N_CLASSES:
+            raise CorruptModel(f"{n_classes} classes, expected {defaults.N_CLASSES}")
+        if not (math.isfinite(floor) and floor < 0):
+            raise CorruptModel(f"input floor {floor} dB is not finite and negative")
         (n_layers,) = struct.unpack_from("<I", blob, pos)
         pos += 4
 
@@ -613,39 +642,25 @@ def load_model(path) -> ClassifierModel:
     except struct.error as exc:
         raise CorruptModel(f"truncated model file: {exc}") from exc
 
-    # layers hold only their dimensions so far: check them against each
-    # other and the file length before allocating any weights
-    _validate_chain(layers, n_inputs, n_classes)
+    # layers hold only their dimensions so far: require them to be the
+    # network, whose one free value is the dropout rate, before allocating
+    rate = next((layer.rate for layer in layers if isinstance(layer, Dropout)), 0.0)
+    try:
+        network = _network(n_inputs, rate)
+    except ValueError as exc:
+        raise CorruptModel(str(exc)) from None
+    if [(type(a), a.args()) for a in layers] != [(type(b), b.args()) for b in network]:
+        raise CorruptModel("the layers are not the classifier network")
     n_weights = _parameter_total(layers)
     if pos + 4 * n_weights > len(blob):
         raise CorruptModel("model file ends before all weights are read")
     if pos + 4 * n_weights != len(blob):
         raise CorruptModel(f"{len(blob) - pos - 4 * n_weights} trailing bytes after the weights")
-    flat = np.frombuffer(blob, dtype="<f4", count=n_weights, offset=pos).astype(np.float32)
-    model = ClassifierModel(layers, seed, input_floor_db=float(floor), flat=flat)
-    model.n_inputs, model.n_classes = n_inputs, n_classes
-    return model
-
-
-def _validate_chain(layers, n_inputs, n_classes):
-    length, channels, flat = n_inputs, 1, None
-    for layer in layers:
-        if isinstance(layer, Conv1D):
-            if flat is not None or channels != layer.c_in or not 1 <= layer.k <= length:
-                raise CorruptModel("convolution does not chain from its input shape")
-            length, channels = length - layer.k + 1, layer.c_out
-        elif isinstance(layer, MaxPool1D):
-            if flat is not None or not 1 <= layer.width <= length:
-                raise CorruptModel("pooling does not chain from its input shape")
-            length //= layer.width
-        elif isinstance(layer, Flatten):
-            flat = length * channels
-        elif isinstance(layer, Dense):
-            if flat is None or layer.n_in != flat:
-                raise CorruptModel("dense layer does not chain from its input shape")
-            flat = layer.n_out
-    if flat != n_classes:
-        raise CorruptModel(f"network ends with {flat} outputs, expected {n_classes}")
+    weights = np.frombuffer(blob, dtype="<f4", count=n_weights, offset=pos)
+    # unlike isfinite, min and max need no array as large as the weights
+    if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
+        raise CorruptModel("a weight is NaN or infinite")
+    return ClassifierModel(layers, seed, n_inputs, float(floor), weights.astype(np.float32))
 
 
 def save_training_log(log: list[EpochStats], path) -> None:

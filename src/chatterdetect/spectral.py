@@ -181,8 +181,8 @@ def renormalize(
     this is the amplitude erasure.
     """
     m = np.asarray(magnitudes, dtype=np.float64)
-    if np.any(m < 0):
-        raise ValueError("magnitudes must be non-negative")
+    if not np.all(m >= 0):
+        raise ValueError("magnitudes must be non-negative, not NaN")
     floor = -config.crop_db
     peak = m.max(axis=-1, keepdims=True, initial=0.0)
     peak[peak == 0] = np.inf  # so an all-zero row has all-zero ratios

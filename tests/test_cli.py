@@ -121,6 +121,27 @@ def test_hop_rounding_to_zero_samples_exits_2(tmp_path, capsys):
     assert "HopTooShort" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--lines", "512"], ["--crop-db", "40"], ["--window", "0.05"], ["--fmax", "2000"]],
+    ids=["lines-512", "crop-db-40", "window-0.05", "fmax-2000"],
+)
+def test_frames_the_model_does_not_take_exit_2(tmp_path, capsys, flags):
+    corpus, ds, model = tmp_path / "corpus", tmp_path / "ds", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "2",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    assert run(["extract", "--in", str(corpus), "--out", str(ds), "--seed", "0"] + flags) == 0
+    capsys.readouterr()
+    assert run(["train", "--data", str(ds), "--out", str(model), "--epochs", "1"]) == 2
+    assert not model.exists()
+    cd.save_model(cd.build_model(0), model)
+    assert run(["eval", "--model", str(model), "--data", str(ds),
+                "--out", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("FeatureMismatch") == 2 and "Traceback" not in err
+    assert not (tmp_path / "report").exists()
+
+
 def test_predict_stops_quietly_when_stdout_closes(tmp_path, monkeypatch, capsys):
     corpus, model = tmp_path / "corpus", tmp_path / "m.chmd"
     assert run(["synth", "--out", str(corpus), "--per-class", "1",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import chatterdetect as cd
-from chatterdetect.dataset import FRAMES_FILE, Split, record_dtype, stratified_split
+from chatterdetect.dataset import FRAMES_FILE, MANIFEST_FILE, Split, record_dtype, stratified_split
 from chatterdetect.errors import BadSourceId, CorruptDataset, EmptyDataset
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 from chatterdetect.spectral import SpectralConfig
@@ -201,6 +201,15 @@ def test_bad_magic_and_version_are_rejected(tmp_path, small_dataset):
     blob = bytearray(path.read_bytes())
     blob[4] = 99
     path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptDataset):
+        cd.load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("n_lines", ["512", "many"])
+def test_manifest_line_count_must_match_frames_file(tmp_path, small_dataset, n_lines):
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / MANIFEST_FILE
+    path.write_text(path.read_text().replace("\nn_lines=1024\n", f"\nn_lines={n_lines}\n"))
     with pytest.raises(CorruptDataset):
         cd.load_dataset(tmp_path / "ds")
 

@@ -44,7 +44,7 @@ def test_confusion_errors():
         cd.confusion([], [])
 
 
-@pytest.mark.parametrize("code", [-1, 3])
+@pytest.mark.parametrize("code", [-1, 3, 1.5])
 def test_confusion_rejects_unknown_class_codes(code):
     with pytest.raises(UnknownLabel):
         cd.confusion([0, 1], [code, 1])
@@ -52,7 +52,7 @@ def test_confusion_rejects_unknown_class_codes(code):
         cd.confusion([0, code], [0, 1])
 
 
-@pytest.mark.parametrize("code", [-1, 5])
+@pytest.mark.parametrize("code", [-1, 5, 1.5])
 def test_roc_rejects_unknown_class_codes(code):
     with pytest.raises(UnknownLabel):
         cd.roc(np.full((3, 3), 1 / 3), [0, code, 1], MachiningClass.CHATTER)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import chatterdetect as cd
 from chatterdetect.dataset import FRAMES_FILE, MANIFEST_FILE
 from chatterdetect.errors import ChatterError, CorruptDataset, CorruptModel
-from chatterdetect.model import ClassifierModel, Conv1D, Dense, Dropout, Flatten, MaxPool1D, ReLU
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
+MODEL_HEAD = 105  # bytes before the weights in model_file: header and layer table
 
 
 @pytest.fixture(scope="module")
@@ -33,12 +33,12 @@ def dataset_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
-    """A small valid model file holding one layer of every kind."""
-    layers = [Conv1D(1, 2, 3), ReLU(), MaxPool1D(2), Flatten(), Dropout(0.3), Dense(1022, 3)]
-    model = ClassifierModel(layers, seed=5)
+    """A valid model file: build_model's network with seeded random weights."""
+    model = cd.build_model(5)
     model.flat[...] = np.random.default_rng(5).standard_normal(model.flat.size)
     path = tmp_path_factory.mktemp("fuzz") / "m.chmd"
     cd.save_model(model, path)
+    assert np.array_equal(cd.load_model(path).flat, model.flat)
     return path
 
 
@@ -110,7 +110,7 @@ def test_damaged_manifest_raises_only_chatter_errors(dataset_dir, data):
 def test_damaged_model_file_raises_only_chatter_errors(model_file, data):
     valid = model_file.read_bytes()
     try:
-        model_file.write_bytes(data.draw(damaged(valid, head=64)))
+        model_file.write_bytes(data.draw(damaged(valid, head=MODEL_HEAD)))
         _load_only_chatter_errors(cd.load_model, model_file)
     finally:
         model_file.write_bytes(valid)

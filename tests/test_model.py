@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from chatterdetect.errors import CorruptModel, EmptyDataset, MissingClass, Wrong
 from chatterdetect.model import (
     MODEL_MAGIC,
     MODEL_VERSION,
+    ClassifierModel,
+    Conv1D,
     Dense,
     Flatten,
     MaxPool1D,
     _cross_entropy,
+    _network,
 )
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 
@@ -241,28 +245,87 @@ def test_model_file_layout(tmp_path):
     assert (tmp_path / "m.chmd").read_bytes() == expected
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_rejected(tmp_path, bad):
+    model = cd.build_model(0)
+    model.flat[1234] = bad
+    cd.save_model(model, tmp_path / "m.chmd")
+    with pytest.raises(CorruptModel):
+        cd.load_model(tmp_path / "m.chmd")
+
+
 HUGE_DENSE = struct.pack("<BII", Dense.code, 2**31, 2**31)
 FLATTEN = struct.pack("<B", Flatten.code)
 
 
-@pytest.mark.parametrize(
-    "n_inputs,n_classes,layers",
-    [
-        # a consistent chain whose 2**64 bytes of weights dwarf the file
-        (2**31, 2**31, [FLATTEN, HUGE_DENSE]),
-        # the same layer where the chain does not fit
-        (1024, 3, [FLATTEN, HUGE_DENSE]),
-        # a zero-width pooling window
-        (1024, 3, [struct.pack("<BI", MaxPool1D.code, 0)]),
-    ],
-    ids=["huge-chained", "huge-unchained", "zero-pool"],
-)
-def test_forged_header_rejected_before_allocation(tmp_path, n_inputs, n_classes, layers):
-    path = tmp_path / "m.chmd"
+def _packed(path, n_inputs, n_classes, layers):
+    """A header, the packed `layers` and 64 bytes of weights."""
     header = struct.pack("<4sIIIqf", MODEL_MAGIC, MODEL_VERSION, n_inputs, n_classes, 0, -20.0)
     path.write_bytes(header + struct.pack("<I", len(layers)) + b"".join(layers) + bytes(64))
-    with pytest.raises(CorruptModel):
-        cd.load_model(path)
+
+
+def _complete(path, edit=None, n_inputs=1024, n_classes=3, floor=-20.0):
+    """build_model's layers as `edit` leaves them, all their weights, and
+    the header's line count, class count and input floor as given."""
+    layers = _network(1024, 0.3)
+    if edit:
+        edit(layers)
+    cd.save_model(ClassifierModel(layers, seed=0), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<IIqf", blob, 8, n_inputs, n_classes, 0, floor)
+    path.write_bytes(bytes(blob))
+
+
+def _narrow_convs(layers):
+    # a consistent chain that is not the network
+    layers[0], layers[3], layers[7] = Conv1D(1, 8, 7), Conv1D(8, 8, 5), Dense(62 * 8, 128)
+
+
+def _four_classes(layers):
+    layers[-1] = Dense(64, 4)
+
+
+def _dropout_one(layers):
+    layers[9].rate = 1.0
+
+
+def _no_dense_inputs(layers):
+    layers[7] = Dense(0, 128)  # what the network's arithmetic gives for 22 lines
+
+
+FORGED = {
+    # a consistent chain whose 2**64 bytes of weights dwarf the file
+    "huge-chained": lambda p: _packed(p, 2**31, 2**31, [FLATTEN, HUGE_DENSE]),
+    # the same layer where the chain does not fit
+    "huge-unchained": lambda p: _packed(p, 1024, 3, [FLATTEN, HUGE_DENSE]),
+    # a zero-width pooling window
+    "zero-pool": lambda p: _packed(p, 1024, 3, [struct.pack("<BI", MaxPool1D.code, 0)]),
+    # the rest are complete files: only the forged value is wrong
+    "narrow-convs": lambda p: _complete(p, _narrow_convs),
+    "floor-nan": lambda p: _complete(p, floor=math.nan),
+    "floor-0": lambda p: _complete(p, floor=0.0),
+    "floor+20": lambda p: _complete(p, floor=20.0),
+    "floor-inf": lambda p: _complete(p, floor=-math.inf),
+    "classes-4": lambda p: _complete(p, _four_classes, n_classes=4),
+    "dropout-1": lambda p: _complete(p, _dropout_one),
+    "inputs-22": lambda p: _complete(p, _no_dense_inputs, n_inputs=22),
+}
+
+
+@pytest.mark.parametrize("forge", FORGED.values(), ids=FORGED.keys())
+def test_forged_header_rejected_before_allocation(tmp_path, forge):
+    path = tmp_path / "m.chmd"
+    forge(path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptModel):
+            cd.load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes may be as large as the weights (45 KB or more here);
+    # nothing else may be
+    assert peak < path.stat().st_size + 2**14
 
 
 def test_training_log_csv(tmp_path, trained_small_model):

@@ -109,6 +109,9 @@ def test_renormalize_constant_is_all_zero_db():
 def test_renormalize_known_values():
     lines = cd.renormalize(np.array([1.0, 0.1, 0.001]), CFG)
     assert np.array_equal(lines, np.float32([0.0, -20.0, -20.0]))
+    for bad in (-0.5, np.nan):
+        with pytest.raises(ValueError):
+            cd.renormalize(np.array([1.0, bad, 0.5]), CFG)
 
 
 def test_renormalize_zero_maps_to_floor():
