@@ -32,7 +32,7 @@ from .evaluation import build_report, emit_report
 from .model import (
     Hyperparameters,
     build_model,
-    check_dataset,
+    check_config,
     load_model,
     predict_batch,
     save_model,
@@ -247,7 +247,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     ds = load_dataset(args.data)
     model = load_model(args.model)
-    check_dataset(model, ds)
+    check_config(model, ds.config)
     x, y = ds.split_arrays(next(s for s in Split if s.token == args.split))
     if len(y) == 0:
         raise EmptyDataset(f"split {args.split!r} is empty")
@@ -260,8 +260,9 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    signal = load_wav(args.wav)
-    frames = extract_frames(signal)
+    config = SpectralConfig()
+    check_config(model, config)
+    frames = extract_frames(load_wav(args.wav), config)
     if args.emit_frames:
         try:
             Path(args.emit_frames).mkdir(parents=True, exist_ok=True)

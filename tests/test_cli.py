@@ -8,6 +8,7 @@ import pytest
 import chatterdetect as cd
 from chatterdetect import defaults
 from chatterdetect.cli import build_parser, run
+from chatterdetect.model import ClassifierModel, _network
 
 
 def parse(argv):
@@ -174,6 +175,31 @@ def test_predict_rows_are_per_frame_predict_batch(tmp_path, capsys, trained_smal
         probs = cd.predict_batch(trained_small_model, frame.lines.reshape(1, -1))[0]
         label = cd.MachiningClass(int(probs.argmax())).token
         assert row == f"{frame.t_start_s:.6g},{label}," + ",".join(f"{p:.6g}" for p in probs)
+
+
+def model_with_floor_30():
+    model = cd.build_model(1)
+    model.input_floor_db = -30.0
+    return model
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [model_with_floor_30, lambda: ClassifierModel(_network(512, 0.3), 1, n_inputs=512)],
+    ids=["floor-30", "lines-512"],
+)
+def test_predict_with_a_model_for_other_frames_exits_2(tmp_path, capsys, make_model):
+    # predict frames at the default config: 1024 lines cropped at 20 dB
+    corpus, model = tmp_path / "corpus", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    cd.save_model(make_model(), model)
+    capsys.readouterr()
+    wav = next(corpus.glob("chatter-*.wav"))
+    assert run(["predict", "--model", str(model), "--wav", str(wav)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "FeatureMismatch" in err and "Traceback" not in err
 
 
 def test_emit_frames_onto_an_existing_file_exits_2(tmp_path, capsys):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import chatterdetect as cd
-from chatterdetect.model import Dense, MaxPool1D, _rmsprop_scratch, _rmsprop_step
+from chatterdetect.model import (
+    _RMSPROP_BLOCK, Dense, MaxPool1D, _rmsprop_scratch, _rmsprop_step,
+)
 
 
 def pool_forward_reference(x, width):
@@ -113,3 +115,43 @@ def test_flat_rmsprop_matches_per_tensor_update(hp):
         for (_, _, p), ref in zip(model.parameters(), ref_params):
             assert np.array_equal(p, ref), step
         assert np.array_equal(cache, np.concatenate([c.ravel() for c in ref_caches]))
+
+
+def test_rmsprop_keeps_the_cache_out_of_subnormals():
+    hp = cd.Hyperparameters()
+    f32 = np.finfo(np.float32)
+    tiny = f32.tiny
+    seeded = np.array(
+        [0.0, f32.smallest_subnormal, np.nextafter(tiny, 0), tiny, np.nextafter(tiny, 1),
+         1.5 * tiny, 10 * tiny, 1e6 * tiny, 1e-30, 1e-20],
+        dtype=np.float32,
+    )
+    n = _RMSPROP_BLOCK + 333  # two blocks, the second partial
+    cache = np.resize(seeded, n)
+    seeded_nonzero = cache > 0
+    ref_cache = cache.copy()
+    rng = np.random.default_rng(11)
+    p = rng.standard_normal(n).astype(np.float32)
+    ref_p = p.copy()
+    g = np.zeros(n, dtype=np.float32)
+    scratch = _rmsprop_scratch(p)
+    got_gradient = np.zeros(n, dtype=bool)
+    was_subnormal = np.zeros(n, dtype=bool)
+    # 1e-20 decays by rho = 0.9 past tiny in about 400 steps
+    for step in range(500):
+        g[...] = 0.0
+        if step % 25 == 0:
+            # gradients from 1e-6 to 1 in magnitude, also on subnormal entries
+            hit = rng.random(n) < 0.01
+            g[hit] = rng.standard_normal(hit.sum()) * 10.0 ** rng.integers(-6, 1, hit.sum())
+            got_gradient |= hit
+        _rmsprop_step(p, g, cache, scratch, hp)
+        rmsprop_reference(ref_p, g, ref_cache, hp)
+        assert not np.any((cache > 0) & (cache < tiny)), step
+        assert np.array_equal(p, ref_p), step
+        ref_normal = ref_cache >= tiny
+        assert np.array_equal(cache[ref_normal], ref_cache[ref_normal]), step
+        assert not cache[~ref_normal].any(), step
+        was_subnormal |= (ref_cache > 0) & (ref_cache < tiny)
+    # every seeded value the gradients left alone went subnormal unflushed
+    assert was_subnormal[seeded_nonzero & ~got_gradient].all()

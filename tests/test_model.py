@@ -1,3 +1,4 @@
+import logging
 import math
 import struct
 import tracemalloc
@@ -147,6 +148,20 @@ def test_training_is_deterministic(small_dataset):
     assert [vars(s) for s in a.training_log] == [vars(s) for s in b.training_log]
     for (_, _, pa), (_, _, pb) in zip(a.parameters(), b.parameters()):
         assert np.array_equal(pa, pb)
+
+
+def test_train_logs_one_info_line_per_epoch(small_dataset, caplog, capsys):
+    with caplog.at_level(logging.INFO, logger="chatterdetect.model"):
+        model = cd.build_model(3)
+        cd.train(model, small_dataset, cd.Hyperparameters(epochs=3, rng_seed=3))
+    records = [r for r in caplog.records if r.name == "chatterdetect.model"]
+    assert [r.levelno for r in records] == [logging.INFO] * 3
+    for stats, record in zip(model.training_log, records):
+        line = record.getMessage()
+        assert line.startswith(f"epoch {stats.epoch}/3: train loss {stats.train_loss:.4f}")
+        assert f"val loss {stats.val_loss:.4f} acc {stats.val_acc:.4f}" in line
+        assert line.endswith(" frames/s")
+    assert capsys.readouterr().out == ""
 
 
 def test_loss_decreases_on_noiseless_set():
@@ -352,3 +367,10 @@ def test_hyperparameter_validation():
         cd.Hyperparameters(learning_rate=float("nan"))
     with pytest.raises(ValueError):
         cd.Hyperparameters(dropout_rate=1.0)
+    # RMSprop's eps must be positive and rho a decay: otherwise weights go NaN
+    for bad in (0.0, -1e-7, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cd.Hyperparameters(epsilon=bad)
+    for bad in (1.0, 1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError):
+            cd.Hyperparameters(rho=bad)

@@ -131,3 +131,20 @@ def test_reloaded_model_predicts_like_reference(trained_pair, small_dataset, tmp
     back = cd.load_model(path)
     x, _ = small_dataset.split_arrays(Split.TEST)
     assert np.array_equal(cd.predict_batch(back, x), reference_forward(ref, x))
+
+
+def test_train_matches_reference_once_the_cache_goes_subnormal(small_dataset):
+    # rho = 0.5 decays a cache entry past float32's tiny within a few
+    # epochs of 32 steps; the published 0.9 would need hundreds of steps
+    hp = cd.Hyperparameters(epochs=6, rho=0.5, rng_seed=19)
+    model, ref, caches = cd.build_model(19), cd.build_model(19), {}
+    cd.train(model, small_dataset, hp)
+    reference_train(ref, small_dataset, hp, caches)
+    assert_same(model, ref)
+
+    tiny = np.finfo(np.float32).tiny
+    ref_cache = np.concatenate([caches[(i, n)].ravel() for i, n, _ in ref.parameters()])
+    ref_subnormal = (ref_cache > 0) & (ref_cache < tiny)
+    assert ref_subnormal.sum() > 1000
+    assert not np.any((model.rms_cache > 0) & (model.rms_cache < tiny))
+    assert np.array_equal(model.rms_cache, np.where(ref_subnormal, 0, ref_cache))
