@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import defaults
 from .dataset import Split, build_dataset, class_distribution, load_dataset, save_dataset
-from .errors import ChatterError, EmptyDataset, IoFailure
+from .errors import ChatterError, EmptyDataset, make_dir
 from .evaluation import build_report, emit_report
 from .model import (
     Hyperparameters,
@@ -263,11 +263,7 @@ def cmd_predict(args) -> int:
     config = SpectralConfig()
     check_config(model, config)
     frames = extract_frames(load_wav(args.wav), config)
-    if args.emit_frames:
-        try:
-            Path(args.emit_frames).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure(f"cannot create {args.emit_frames}: {exc}") from exc
+    pgm_dir = make_dir(args.emit_frames) if args.emit_frames else None
     print("t_start,label,p_chatter,p_machining,p_rotation")
     for frame in frames:
         probs = predict_batch(model, frame.lines.reshape(1, -1))[0]
@@ -276,10 +272,8 @@ def cmd_predict(args) -> int:
             f"{frame.t_start_s:.6g},{label.token},"
             + ",".join(f"{p:.6g}" for p in probs)
         )
-        if args.emit_frames:
-            export_frame_pgm(
-                frame, Path(args.emit_frames) / f"frame_{frame.frame_index:05d}.pgm"
-            )
+        if pgm_dir is not None:
+            export_frame_pgm(frame, pgm_dir / f"frame_{frame.frame_index:05d}.pgm")
     return 0
 
 

@@ -18,7 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .errors import BadSourceId, CorruptDataset, EmptyDataset, IoFailure, MissingClass
+from .errors import (
+    BadSourceId, CorruptDataset, EmptyDataset, MissingClass,
+    make_dir, read_bytes, read_text, write_bytes, write_lines,
+)
 from .signal_io import CLASS_ORDER, MachiningClass
 from .spectral import SpectralConfig, extract_frames, frame_counts, frame_lines_valid
 
@@ -238,35 +241,18 @@ def class_distribution(ds: LabeledDataset, split: Split) -> dict[MachiningClass,
 
 
 def save_dataset(ds: LabeledDataset, out_dir) -> None:
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
-
+    out = make_dir(out_dir)
     header = struct.pack("<4sIII", MAGIC, FORMAT_VERSION, ds.n_lines, len(ds))
+    write_bytes(out / FRAMES_FILE, header, np.ascontiguousarray(ds.records))
     manifest_lines = [f"{k}={v}" for k, v in ds.manifest.items()]
     manifest_lines.append(f"frames.sources={'|'.join(ds.sources)}")
-    try:
-        with open(out / FRAMES_FILE, "wb") as f:
-            f.write(header)
-            ds.records.tofile(f)
-        (out / MANIFEST_FILE).write_text(
-            "\n".join(manifest_lines) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write dataset to {out}: {exc}") from exc
+    write_lines(out / MANIFEST_FILE, manifest_lines)
 
 
 def load_dataset(in_dir) -> LabeledDataset:
     src = Path(in_dir)
-    try:
-        manifest_text = (src / MANIFEST_FILE).read_text(encoding="utf-8")
-        blob = (src / FRAMES_FILE).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read dataset from {src}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CorruptDataset(f"manifest is not UTF-8: {exc}") from None
+    manifest_text = read_text(src / MANIFEST_FILE, CorruptDataset)
+    blob = read_bytes(src / FRAMES_FILE)
 
     manifest: dict[str, str] = {}
     for line in manifest_text.splitlines():

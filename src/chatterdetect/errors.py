@@ -1,8 +1,12 @@
 """Exception taxonomy for the chatter detection pipeline.
 
 Everything raised on purpose derives from ChatterError, so callers (and
-the CLI) can tell pipeline failures apart from plain bugs.
+the CLI) can tell pipeline failures apart from plain bugs. Every artifact
+is read and written through the helpers below `IoFailure`, which turn an
+OSError into an IoFailure naming the file.
 """
+
+from pathlib import Path
 
 
 class ChatterError(Exception):
@@ -29,6 +33,49 @@ class NonFiniteSamples(ChatterError):
 
 class IoFailure(ChatterError):
     """Underlying OS-level read/write failure."""
+
+
+def read_bytes(path) -> bytes:
+    """The whole file at `path`."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path, not_utf8: type[ChatterError]) -> str:
+    """The file at `path` as UTF-8 text, line endings untranslated; bytes
+    that are not UTF-8 raise `not_utf8`."""
+    try:
+        return read_bytes(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise not_utf8(f"{path} is not UTF-8: {exc}") from None
+
+
+def write_bytes(path, *parts) -> None:
+    """Write bytes objects or C-contiguous arrays to `path` in order,
+    through one open file, without first joining them into one bytes."""
+    try:
+        with open(path, "wb") as f:
+            for part in parts:
+                f.write(part)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def write_lines(path, lines) -> None:
+    """Write `lines` to `path` as UTF-8, each ended by a newline."""
+    write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def make_dir(path) -> Path:
+    """Create the directory `path` and its parents unless it exists."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {path}: {exc}") from exc
+    return out
 
 
 class AmplitudeOutOfRange(ChatterError):
@@ -102,6 +149,10 @@ class FeatureMismatch(ChatterError):
 
 class CorruptModel(ChatterError):
     """Model file failed validation (magic, version, header, network, weights)."""
+
+
+class TrainingDiverged(ChatterError):
+    """An epoch ended with a NaN or infinite train or validation loss."""
 
 
 # evaluation

@@ -8,7 +8,6 @@ so re-emitting an identical report reproduces identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -16,9 +15,10 @@ from .errors import (
     DegenerateClass,
     EmptyInput,
     EmptyMatrix,
-    IoFailure,
     LengthMismatch,
     UnknownLabel,
+    make_dir,
+    write_lines,
 )
 from .signal_io import CLASS_ORDER, MachiningClass
 
@@ -171,35 +171,26 @@ def _fmt(x: float) -> str:
 
 def emit_report(report: EvaluationReport, out_dir) -> None:
     """Write confusion.csv, metrics.csv and roc_<class>.csv into out_dir."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
+    names = [cls.token for cls in CLASS_ORDER]
+    lines = ["," + ",".join(names)]
+    for cls in CLASS_ORDER:
+        row = report.confusion_matrix.counts[int(cls)]
+        lines.append(cls.token + "," + ",".join(str(int(v)) for v in row))
+    write_lines(out / "confusion.csv", lines)
 
-        names = [cls.token for cls in CLASS_ORDER]
-        lines = ["," + ",".join(names)]
-        for cls in CLASS_ORDER:
-            row = report.confusion_matrix.counts[int(cls)]
-            lines.append(cls.token + "," + ",".join(str(int(v)) for v in row))
-        (out / "confusion.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines = ["class,precision,recall,f1,support"]
+    for cls in CLASS_ORDER:
+        m = report.metrics.per_class[cls]
+        lines.append(
+            f"{cls.token},{_fmt(m.precision)},{_fmt(m.recall)},{_fmt(m.f1)},{m.support}"
+        )
+    lines.append(f"accuracy,{_fmt(report.metrics.accuracy)},,,")
+    write_lines(out / "metrics.csv", lines)
 
-        lines = ["class,precision,recall,f1,support"]
-        for cls in CLASS_ORDER:
-            m = report.metrics.per_class[cls]
-            lines.append(
-                f"{cls.token},{_fmt(m.precision)},{_fmt(m.recall)},{_fmt(m.f1)},{m.support}"
-            )
-        lines.append(f"accuracy,{_fmt(report.metrics.accuracy)},,,")
-        (out / "metrics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        for cls, curve in report.roc_curves.items():
-            if curve is None:
-                continue
-            lines = [f"# auc={_fmt(curve.auc)}", "fpr,tpr"]
-            lines.extend(
-                f"{_fmt(f)},{_fmt(t)}" for f, t in zip(curve.fpr, curve.tpr)
-            )
-            (out / f"roc_{cls.token}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
-    except OSError as exc:
-        raise IoFailure(f"cannot write report to {out}: {exc}") from exc
+    for cls, curve in report.roc_curves.items():
+        if curve is None:
+            continue
+        lines = [f"# auc={_fmt(curve.auc)}", "fpr,tpr"]
+        lines.extend(f"{_fmt(f)},{_fmt(t)}" for f, t in zip(curve.fpr, curve.tpr))
+        write_lines(out / f"roc_{cls.token}.csv", lines)

@@ -26,14 +26,14 @@ import math
 import struct
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import defaults
 from .dataset import LabeledDataset, Split
 from .errors import (
-    CorruptModel, EmptyDataset, FeatureMismatch, IoFailure, MissingClass, WrongInputLength,
+    CorruptModel, EmptyDataset, FeatureMismatch, MissingClass, TrainingDiverged,
+    WrongInputLength, read_bytes, write_bytes, write_lines,
 )
 from .signal_io import CLASS_ORDER, MachiningClass
 from .spectral import SpectralConfig
@@ -54,10 +54,16 @@ class Hyperparameters:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("batch_size", "epochs", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and non-negative")
         if not 0 <= self.dropout_rate < 1:
@@ -456,6 +462,10 @@ def train(
             _rmsprop_step(flat, grads, cache, scratch, hp)
 
         val_loss, val_acc = _eval_arrays(model, x_val, y_val)
+        if not (math.isfinite(epoch_loss) and math.isfinite(val_loss)):
+            raise TrainingDiverged(
+                f"epoch {epoch}: train loss {epoch_loss / n}, val loss {val_loss}"
+            )
         model.training_log.append(
             EpochStats(epoch, epoch_loss / n, epoch_correct / n, val_loss, val_acc)
         )
@@ -622,20 +632,13 @@ def save_model(model: ClassifierModel, path) -> None:
     for layer in model.layers:
         parts.append(struct.pack("<B", layer.code))
         parts.append(struct.pack(layer.struct_format(), *layer.args()))
-    parts.append(np.ascontiguousarray(model.flat, dtype="<f4").tobytes())
-    try:
-        Path(path).write_bytes(b"".join(parts))
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, *parts, np.ascontiguousarray(model.flat, dtype="<f4"))
 
 
 def load_model(path) -> ClassifierModel:
     """Reads a model file. It must hold the network `build_model` makes,
     with any dropout rate in [0, 1), over a finite negative input floor."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    blob = read_bytes(path)
     try:
         magic, version, n_inputs, n_classes, seed, floor = struct.unpack_from(
             "<4sIIIqf", blob
@@ -693,7 +696,4 @@ def save_training_log(log: list[EpochStats], path) -> None:
         lines.append(
             f"{s.epoch},{s.train_loss:.8g},{s.train_acc:.8g},{s.val_loss:.8g},{s.val_acc:.8g}"
         )
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_lines(path, lines)

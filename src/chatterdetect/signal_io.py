@@ -11,14 +11,12 @@ import struct
 import warnings
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     AmplitudeOutOfRange,
     EmptyTrack,
-    IoFailure,
     MalformedContainer,
     NonFiniteSamples,
     OverlappingIntervals,
@@ -26,6 +24,10 @@ from .errors import (
     SampleRateTooLow,
     UnknownLabel,
     UnsupportedEncoding,
+    read_bytes,
+    read_text,
+    write_bytes,
+    write_lines,
 )
 
 MIN_SAMPLE_RATE_HZ = 5000.0  # Nyquist must cover the 2500 Hz analysis band
@@ -140,10 +142,7 @@ def load_wav(path) -> TimeSignal:
     as-is, and NaN or infinite samples are rejected. Multi-channel files
     use channel 0 (with a warning).
     """
-    try:
-        buf = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    buf = read_bytes(path)
 
     if len(buf) < 12 or buf[0:4] != b"RIFF" or buf[8:12] != b"WAVE":
         raise MalformedContainer(f"{path} is not a RIFF/WAVE file")
@@ -206,15 +205,11 @@ def save_wav(signal: TimeSignal, path) -> None:
 
     # Quantize so that load_wav(save_wav(x)) is within 1/32768 per sample.
     q = np.clip(np.rint(x * PCM16_SCALE), -PCM16_SCALE, PCM16_SCALE - 1).astype("<i2")
-    payload = q.tobytes()
     rate = int(round(signal.sample_rate_hz))
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + q.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, 1, rate, rate * 2, 2, 16)
-    header += b"data" + struct.pack("<I", len(payload))
-    try:
-        Path(path).write_bytes(header + payload)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    header += b"data" + struct.pack("<I", q.nbytes)
+    write_bytes(path, header, q)
 
 
 def load_labels(path) -> LabelTrack:
@@ -223,12 +218,7 @@ def load_labels(path) -> LabelTrack:
     One record per line: ``start_s,end_s,label`` with label in
     {chatter, machining, rotation} (case-insensitive); ``#`` starts a comment.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8: {exc}") from None
+    text = read_text(path, ParseError)
 
     intervals = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -253,8 +243,6 @@ def load_labels(path) -> LabelTrack:
 
 
 def save_labels(track: LabelTrack, path) -> None:
-    lines = [f"{iv.start_s:.6f},{iv.end_s:.6f},{iv.label.token}" for iv in track.intervals]
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_lines(
+        path, [f"{iv.start_s:.6f},{iv.end_s:.6f},{iv.label.token}" for iv in track.intervals]
+    )

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from . import defaults
-from .errors import BandExceedsNyquist, HopTooShort, IoFailure, WindowTooShort
+from .errors import BandExceedsNyquist, HopTooShort, WindowTooShort, write_bytes
 from .signal_io import TimeSignal
 
 PEAK_QUANT_LEVELS = 32768
@@ -233,7 +232,4 @@ def export_frame_pgm(
     rows = np.arange(PGM_HEIGHT)[:, None]  # row 0 is the top of the image
     img = np.where(rows >= PGM_HEIGHT - heights[None, :], 255, 0).astype(np.uint8)
     header = f"P5\n{frame.lines.size} {PGM_HEIGHT}\n255\n".encode("ascii")
-    try:
-        Path(path).write_bytes(header + img.tobytes())
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, header, img)

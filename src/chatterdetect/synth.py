@@ -30,7 +30,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import defaults
-from .errors import ChatterError, InfeasibleSpec, IoFailure
+from .errors import ChatterError, InfeasibleSpec, IoFailure, make_dir, read_text, write_lines
 from .signal_io import (
     CLASS_ORDER,
     LabelInterval,
@@ -83,14 +83,17 @@ class SynthSpec:
     ambiguity: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude_scale <= 0:
-            raise ValueError("amplitude_scale must be positive")
+        # each check is written so that NaN fails it
+        for name in ("amplitude_scale", "duration_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("chatter_ratio", "noise_sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0 <= self.ambiguity < 1:
             raise ValueError("ambiguity must lie in [0, 1)")
-        if self.chatter_ratio < 0:
-            raise ValueError("chatter_ratio must be non-negative")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not self.seed >= 0:
+            raise ValueError("seed must be non-negative")
         if not defaults.F_MIN_HZ < self.f_tooth_pass_hz < defaults.F_MAX_HZ:
             raise InfeasibleSpec(
                 f"tooth-passing frequency {self.f_tooth_pass_hz:g} Hz is outside the "
@@ -311,12 +314,7 @@ def spec_from_dict(d: dict) -> SynthSpec:
 
 def write_corpus(items: list[CorpusItem], out_dir) -> None:
     """Emit WAV + label CSV per signal plus a manifest with every SynthSpec."""
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create {out}: {exc}") from exc
-
+    out = make_dir(out_dir)
     records = []
     for item in items:
         wav_name = f"{item.item_id}.wav"
@@ -333,12 +331,7 @@ def write_corpus(items: list[CorpusItem], out_dir) -> None:
             }
         )
     manifest = {"format": "chatterdetect-corpus", "version": 1, "signals": records}
-    try:
-        (out / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
-    except OSError as exc:
-        raise IoFailure(f"cannot write corpus manifest: {exc}") from exc
+    write_lines(out / MANIFEST_NAME, [json.dumps(manifest, indent=2)])
 
 
 def read_corpus(in_dir) -> list[CorpusItem]:
@@ -351,8 +344,9 @@ def read_corpus(in_dir) -> list[CorpusItem]:
     src = Path(in_dir)
     manifest_path = src / MANIFEST_NAME
     if manifest_path.exists():
+        text = read_text(manifest_path, IoFailure)
         try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            manifest = json.loads(text)
             records = [
                 (
                     str(rec["id"]),
@@ -365,8 +359,8 @@ def read_corpus(in_dir) -> list[CorpusItem]:
             ]
         # the wrong shape (TypeError), a missing key, or a spec value that
         # its field's type or SynthSpec rejects
-        except (OSError, ValueError, KeyError, TypeError, ChatterError) as exc:
-            raise IoFailure(f"cannot read corpus manifest: {exc!r}") from exc
+        except (ValueError, KeyError, TypeError, ChatterError) as exc:
+            raise IoFailure(f"cannot read {manifest_path}: {exc!r}") from exc
         return [
             CorpusItem(item_id, load_wav(wav), load_labels(labels), ambiguous, spec)
             for item_id, wav, labels, ambiguous, spec in records

@@ -313,6 +313,23 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
     assert len(log) == 1 + 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way
+def test_diverging_training_exits_2_and_writes_nothing(tmp_path, capsys):
+    corpus, ds = tmp_path / "c", tmp_path / "d"
+    assert run(["synth", "--out", str(corpus), "--per-class", "3",
+                "--rpm", "1800", "--seed", "5"]) == 0
+    assert run(["extract", "--in", str(corpus), "--out", str(ds), "--seed", "2",
+                "--test-frac", "0"]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("lr=1e30\nepochs=1\n")
+    model = tmp_path / "m.chmd"
+    capsys.readouterr()
+    assert run(["--config", str(config), "train", "--data", str(ds),
+                "--out", str(model), "--seed", "0"]) == 2
+    assert "TrainingDiverged" in capsys.readouterr().err
+    assert not model.exists() and not (tmp_path / "m.chmd.log.csv").exists()
+
+
 def test_no_writes_outside_out_target(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run(["synth", "--out", "corpus", "--per-class", "1",

@@ -8,7 +8,9 @@ import pytest
 
 import chatterdetect as cd
 from chatterdetect.dataset import Split
-from chatterdetect.errors import CorruptModel, EmptyDataset, MissingClass, WrongInputLength
+from chatterdetect.errors import (
+    CorruptModel, EmptyDataset, MissingClass, TrainingDiverged, WrongInputLength,
+)
 from chatterdetect.model import (
     MODEL_MAGIC,
     MODEL_VERSION,
@@ -374,3 +376,20 @@ def test_hyperparameter_validation():
     for bad in (1.0, 1.5, -0.1, float("nan")):
         with pytest.raises(ValueError):
             cd.Hyperparameters(rho=bad)
+    # counts and the seed are integers (never bool): a fraction or a negative
+    # seed used to fail deep inside train, and epochs=True to train one epoch
+    for name in ("batch_size", "epochs", "rng_seed"):
+        for bad in (2.5, 2.0, True, "2", None):
+            with pytest.raises(ValueError):
+                cd.Hyperparameters(**{name: bad})
+        assert getattr(cd.Hyperparameters(**{name: np.int64(3)}), name) == 3
+    with pytest.raises(ValueError):
+        cd.Hyperparameters(rng_seed=-1)
+    assert cd.Hyperparameters(rng_seed=0, epochs=0).epochs == 0
+
+
+def test_diverging_training_raises(small_dataset):
+    model = cd.build_model(0)
+    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match="epoch 1"):
+        cd.train(model, small_dataset, cd.Hyperparameters(epochs=2, learning_rate=1e30))
+    assert model.training_log == []

@@ -111,6 +111,29 @@ def test_spec_band_validation():
         cd.SynthSpec(cd.MachiningClass.CHATTER, 1800.0, 3, 955.0, amplitude_scale=0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+BAD_SPEC_VALUES = [
+    ("duration_s", NAN), ("duration_s", INF), ("duration_s", 0.0),
+    ("amplitude_scale", NAN), ("amplitude_scale", INF),
+    ("chatter_ratio", NAN), ("chatter_ratio", INF), ("chatter_ratio", -0.5),
+    ("noise_sigma", NAN), ("noise_sigma", INF), ("noise_sigma", -1.0),
+    ("seed", -1),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_SPEC_VALUES)
+def test_spec_rejects_non_finite_and_negative_values(field, value):
+    # each used to fail inside generate, or (noise_sigma) to drop the noise
+    with pytest.raises(ValueError, match=field):
+        cd.SynthSpec(cd.MachiningClass.CHATTER, 1800.0, 3, 955.0, **{field: value})
+
+
+def test_spec_accepts_zero_noise_and_zero_chatter_ratio():
+    spec = cd.SynthSpec(cd.MachiningClass.CHATTER, 1800.0, 3, 955.0,
+                        noise_sigma=0.0, chatter_ratio=0.0, seed=0)
+    assert np.all(np.isfinite(cd.generate(spec).samples))
+
+
 def test_corpus_counts_and_determinism():
     items = cd.generate_corpus(1, 0.0, [1800], seed=7)
     again = cd.generate_corpus(1, 0.0, [1800], seed=7)
@@ -219,6 +242,7 @@ BROKEN_MANIFESTS = {
     "spec-bool-int": lambda m: _with(m, "signals", 0, "spec", "n_teeth", value=True),
     "spec-bad-class": lambda m: _with(m, "signals", 0, "spec", "class", value="drilling"),
     "spec-out-of-range": lambda m: _with(m, "signals", 0, "spec", "amplitude_scale", value=-1),
+    "spec-negative-noise": lambda m: _with(m, "signals", 0, "spec", "noise_sigma", value=-1.0),
     "spec-infeasible": lambda m: _with(m, "signals", 0, "spec", "spindle_rpm", value=1e6),
 }
 
@@ -228,8 +252,9 @@ def test_malformed_corpus_manifest_is_io_failure(tmp_path, small_corpus, damage)
     cd.write_corpus(small_corpus[:2], tmp_path)
     manifest = json.loads((tmp_path / MANIFEST_NAME).read_text())
     (tmp_path / MANIFEST_NAME).write_text(json.dumps(BROKEN_MANIFESTS[damage](manifest)))
-    with pytest.raises(IoFailure):
+    with pytest.raises(IoFailure) as info:
         cd.read_corpus(tmp_path)
+    assert str(info.value).startswith(f"cannot read {tmp_path / MANIFEST_NAME}: ")
 
 
 def test_read_corpus_without_manifest(tmp_path):
