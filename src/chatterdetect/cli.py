@@ -41,7 +41,7 @@ from .model import (
 )
 from .signal_io import CLASS_ORDER, load_wav
 from .spectral import SpectralConfig, export_frame_pgm, extract_frames
-from .synth import generate_corpus, read_corpus, spec_to_dict, write_corpus
+from .synth import generate_corpus, read_corpus, sample_count, spec_to_dict, write_corpus
 
 log = logging.getLogger("chatterdetect")
 
@@ -81,6 +81,16 @@ _rpm_list = _checked(
     "a comma-separated list of positive speeds",
 )
 _lines = _checked(int, lambda v: v >= 2, "an integer of at least 2")
+
+
+def _duration(text: str) -> float:
+    """A signal length that gives at least one sample and fits one WAV file."""
+    value = _positive(text)
+    try:
+        sample_count(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _scan_config(argv):
@@ -137,7 +147,7 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
     add(p, "--ambiguous-frac", type=_share, default=0.0, help="ambiguous fraction per class")
     add(p, "--rpm", type=_rpm_list, default=[1800.0, 3000.0], help="comma-separated spindle speeds")
     add(p, "--seed", type=_count, default=0)
-    add(p, "--duration", type=_positive, default=1.0, help="seconds per signal")
+    add(p, "--duration", type=_duration, default=1.0, help="seconds per signal")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("extract", help="build a frame dataset from a corpus")

@@ -147,8 +147,15 @@ def complex_spectrum(
 
 @lru_cache(maxsize=8)
 def _axes(n_fft: int, sample_rate_hz: float, config: SpectralConfig):
-    """The rfft bin frequencies and the line grid, made once per framing."""
-    return np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz), config.grid_hz()
+    """The rfft bin frequencies the line grid reads, and the grid, made
+    once per framing.
+
+    The bins stop at the first one above the last grid line: np.interp
+    reads no further, so cutting the axis there changes no bit. At
+    f_max = Nyquist the cut keeps the whole axis.
+    """
+    freqs, grid = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz), config.grid_hz()
+    return freqs[: np.searchsorted(freqs, grid[-1], side="right") + 1], grid
 
 
 def magnitude_spectrum(
@@ -163,8 +170,10 @@ def magnitude_spectrum(
     if window.size == 0:
         raise ValueError("window must be non-empty")
     x = prepare_window(window, sample_rate_hz, config)
-    mags = np.abs(np.fft.rfft(x))
     freqs, grid = _axes(x.shape[-1], sample_rate_hz, config)
+    # a shorter transform would change the frames, but only the bins the
+    # grid reads need a magnitude
+    mags = np.abs(np.fft.rfft(x)[..., : freqs.size])
     rows = [np.interp(grid, freqs, row) for row in mags.reshape(-1, freqs.size)]
     return np.reshape(rows, mags.shape[:-1] + grid.shape)
 

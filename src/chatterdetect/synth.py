@@ -65,6 +65,25 @@ CHATTER_RATIO_RANGE = (1.5, 4.0)
 
 MANIFEST_NAME = "corpus.json"
 
+# the most samples one PCM16 WAV data chunk holds: its 32-bit RIFF size
+# field counts 36 header bytes besides the data
+MAX_SYNTH_SAMPLES = (2**32 - 37) // 2
+
+
+def sample_count(duration_s: float) -> int:
+    """Samples in a synthesized signal of duration_s seconds.
+
+    Raises ValueError unless that rounds to 1 to MAX_SYNTH_SAMPLES."""
+    x = duration_s * SYNTH_SAMPLE_RATE_HZ
+    # exactly 1 <= round(x) <= MAX_SYNTH_SAMPLES (odd, so its + 0.5 rounds up),
+    # and false for NaN
+    if not 0.5 < x < MAX_SYNTH_SAMPLES + 0.5:
+        raise ValueError(
+            f"duration_s {duration_s:g} rounds to no sample or to more than "
+            f"{MAX_SYNTH_SAMPLES} at {SYNTH_SAMPLE_RATE_HZ:g} Hz"
+        )
+    return round(x)
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -87,6 +106,7 @@ class SynthSpec:
         for name in ("amplitude_scale", "duration_s"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        sample_count(self.duration_s)
         for name in ("chatter_ratio", "noise_sigma"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
@@ -162,7 +182,7 @@ def _pick_chatter_tone(rng, spec: SynthSpec) -> float:
 def generate(spec: SynthSpec) -> TimeSignal:
     """Synthesize one signal. Deterministic given the spec (seed included)."""
     rng = np.random.default_rng(spec.seed)
-    n = int(round(spec.duration_s * SYNTH_SAMPLE_RATE_HZ))
+    n = sample_count(spec.duration_s)
     t = np.arange(n) / SYNTH_SAMPLE_RATE_HZ
 
     rot_phases = rng.uniform(0, 2 * math.pi, 3)
@@ -174,9 +194,12 @@ def generate(spec: SynthSpec) -> TimeSignal:
         cls is MachiningClass.MACHINING_NO_CHATTER and lam > 0
     )
 
-    machining = _harmonic_sum(
-        t, spec.f_tooth_pass_hz, [1.0 / h for h in range(1, 7)], mach_phases
-    )
+    # each blend part is built only where its weight is non-zero: an
+    # unambiguous rotation signal reads no machining content
+    if cls is not MachiningClass.ROTATION_NO_MACHINING or lam > 0:
+        machining = _harmonic_sum(
+            t, spec.f_tooth_pass_hz, [1.0 / h for h in range(1, 7)], mach_phases
+        )
 
     chatter = None
     if needs_chatter:
@@ -187,8 +210,10 @@ def generate(spec: SynthSpec) -> TimeSignal:
             f_sb = f_c + sign * spec.f_tooth_pass_hz
             chatter += SIDEBAND_RATIO * tone_amp * np.sin(2 * math.pi * f_sb * t + phi)
 
+    # at lam == 0 the content is the dominant part itself, which the full
+    # blend equals but for the sign of an exactly-zero sample
     if cls is MachiningClass.CHATTER:
-        content = (1 - lam) * chatter + lam * machining
+        content = chatter if lam == 0 else (1 - lam) * chatter + lam * machining
     elif cls is MachiningClass.MACHINING_NO_CHATTER:
         content = machining if lam == 0 else (1 - lam) * machining + lam * chatter
     else:
@@ -197,7 +222,10 @@ def generate(spec: SynthSpec) -> TimeSignal:
         )
         # blend partner scaled down to the rotation content's own level, so
         # the dominant class stays dominant after renormalization
-        content = (1 - lam) * rotation + lam * ROTATION_LEVEL * machining
+        content = (
+            rotation if lam == 0
+            else (1 - lam) * rotation + lam * ROTATION_LEVEL * machining
+        )
 
     if spec.noise_sigma > 0:
         content = content + spec.noise_sigma * rng.standard_normal(n)

@@ -27,3 +27,27 @@ def test_benchmark_output_checks_pass(workload):
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0
     assert result["metrics"]["pass_rate"]["value"] == 1.0
+
+
+# spans of the names perfbench/probes.py patches in the package's modules;
+# a renamed or bypassed name leaves its span, and so its metric, at 0
+TRACED_SPANS = {
+    "ingest_eval": ["synth.generate_us", "spectral.magnitude_spectrum_us",
+                    "spectral.extract_frames_us"],
+    "stream_predict": ["spectral.magnitude_spectrum_us", "spectral.extract_frames_us"],
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", list(TRACED_SPANS))
+def test_traced_run_times_the_patched_calls(workload):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "7", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    for name in TRACED_SPANS[workload]:
+        assert result["metrics"][name]["value"] > 0, name

@@ -251,6 +251,8 @@ def test_usage_errors_exit_1(capsys):
         ["synth", "--out", "c", "--per-class", "1", "--ambiguous-frac", "2"],
         ["synth", "--out", "c", "--per-class", "1", "--duration", "0"],
         ["synth", "--out", "c", "--per-class", "1", "--duration", "nan"],
+        ["synth", "--out", "c", "--per-class", "1", "--duration", "1e-9"],
+        ["synth", "--out", "c", "--per-class", "1", "--duration", "1e12"],
         ["synth", "--out", "c", "--per-class", "1", "--rpm", "0"],
         ["synth", "--out", "c", "--per-class", "1", "--rpm", "-100"],
         ["synth", "--out", "c", "--per-class", "1", "--rpm", "1800,nan"],

@@ -5,7 +5,7 @@ import pytest
 
 import chatterdetect as cd
 from chatterdetect.errors import InfeasibleSpec, IoFailure
-from chatterdetect.synth import MANIFEST_NAME, spec_from_dict, spec_to_dict
+from chatterdetect.synth import MANIFEST_NAME, sample_count, spec_from_dict, spec_to_dict
 from chatterdetect.spectral import SpectralConfig
 
 CFG = SpectralConfig()
@@ -112,8 +112,13 @@ def test_spec_band_validation():
 
 
 NAN, INF = float("nan"), float("inf")
+MAX_SAMPLES = (2**32 - 37) // 2  # the most one PCM16 WAV data chunk holds
 BAD_SPEC_VALUES = [
     ("duration_s", NAN), ("duration_s", INF), ("duration_s", 0.0),
+    # no sample, or more than one WAV file holds, at 22 050 Hz (1e-9 used to
+    # fail in TimeSignal with a raw ValueError, 1e12 in a MemoryError)
+    ("duration_s", 1e-9), ("duration_s", 0.5 / 22050),
+    ("duration_s", (MAX_SAMPLES + 1) / 22050), ("duration_s", 1e12), ("duration_s", 1e308),
     ("amplitude_scale", NAN), ("amplitude_scale", INF),
     ("chatter_ratio", NAN), ("chatter_ratio", INF), ("chatter_ratio", -0.5),
     ("noise_sigma", NAN), ("noise_sigma", INF), ("noise_sigma", -1.0),
@@ -126,6 +131,14 @@ def test_spec_rejects_non_finite_and_negative_values(field, value):
     # each used to fail inside generate, or (noise_sigma) to drop the noise
     with pytest.raises(ValueError, match=field):
         cd.SynthSpec(cd.MachiningClass.CHATTER, 1800.0, 3, 955.0, **{field: value})
+
+
+def test_spec_length_bounds_are_inclusive():
+    assert sample_count(MAX_SAMPLES / 22050) == MAX_SAMPLES
+    assert sample_count(0.51 / 22050) == 1
+    spec = cd.SynthSpec(cd.MachiningClass.ROTATION_NO_MACHINING, 3000.0, 3, 1234.0,
+                        duration_s=1 / 22050)
+    assert cd.generate(spec).samples.size == 1
 
 
 def test_spec_accepts_zero_noise_and_zero_chatter_ratio():
@@ -244,6 +257,8 @@ BROKEN_MANIFESTS = {
     "spec-out-of-range": lambda m: _with(m, "signals", 0, "spec", "amplitude_scale", value=-1),
     "spec-negative-noise": lambda m: _with(m, "signals", 0, "spec", "noise_sigma", value=-1.0),
     "spec-infeasible": lambda m: _with(m, "signals", 0, "spec", "spindle_rpm", value=1e6),
+    "spec-no-sample": lambda m: _with(m, "signals", 0, "spec", "duration_s", value=1e-9),
+    "spec-too-long": lambda m: _with(m, "signals", 0, "spec", "duration_s", value=1e12),
 }
 
 
