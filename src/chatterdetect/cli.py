@@ -244,7 +244,7 @@ def cmd_train(args) -> int:
         dropout_rate=args.dropout,
         rng_seed=args.seed,
     )
-    model = build_model(args.seed)
+    model = build_model(args.seed, ds.config)
     train(model, ds, hp)
     save_model(model, args.out)
     save_training_log(model.training_log, str(args.out) + ".log.csv")
@@ -270,9 +270,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    config = SpectralConfig()
-    check_config(model, config)
-    frames = extract_frames(load_wav(args.wav), config)
+    frames = extract_frames(load_wav(args.wav), model.config)
     pgm_dir = make_dir(args.emit_frames) if args.emit_frames else None
     print("t_start,label,p_chatter,p_machining,p_rotation")
     for frame in frames:
@@ -283,7 +281,7 @@ def cmd_predict(args) -> int:
             + ",".join(f"{p:.6g}" for p in probs)
         )
         if pgm_dir is not None:
-            export_frame_pgm(frame, pgm_dir / f"frame_{frame.frame_index:05d}.pgm")
+            export_frame_pgm(frame, pgm_dir / f"frame_{frame.frame_index:05d}.pgm", model.config)
     return 0
 
 

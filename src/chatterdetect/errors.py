@@ -113,6 +113,10 @@ class BandExceedsNyquist(ChatterError):
     """Requested band upper edge lies above sample_rate / 2."""
 
 
+class FftTooLong(ChatterError):
+    """The window or the line spacing needs an FFT of more than 2**18 points."""
+
+
 # synthesis
 
 class InfeasibleSpec(ChatterError):

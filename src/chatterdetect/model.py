@@ -25,7 +25,7 @@ import logging
 import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -84,21 +84,10 @@ class EpochStats:
 
 
 class Layer:
-    """A layer kind. In a model file a layer is its ``code`` byte followed by
-    its constructor's arguments: the attributes ``fields`` names, each
-    packed little-endian as the struct format it maps to. ``params`` name
-    the layer's weight tensors and ``shapes`` give their shapes."""
+    """A layer kind: ``params`` name the layer's weight tensors and
+    ``shapes`` give their shapes."""
 
-    code: int
-    fields: dict[str, str] = {}
     params = shapes = ()
-
-    def args(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.fields)
-
-    @classmethod
-    def struct_format(cls) -> str:
-        return "<" + "".join(cls.fields.values())
 
 
 class Conv1D(Layer):
@@ -107,7 +96,6 @@ class Conv1D(Layer):
     A context holding ``skip_dx`` makes backward return None instead of the
     input gradient: the first layer's is never read."""
 
-    code, fields = 1, {"c_in": "I", "c_out": "I", "k": "I"}
     params = ("w", "b")
 
     def __init__(self, c_in: int, c_out: int, k: int):
@@ -145,8 +133,6 @@ class Conv1D(Layer):
 
 
 class ReLU(Layer):
-    code = 2
-
     def forward(self, x, ctx=None, **_):
         if ctx is not None:
             ctx["mask"] = x > 0
@@ -161,8 +147,6 @@ class MaxPool1D(Layer):
 
     Training records a mask of the first maximum in each window (argmax's
     tie rule), so the gradient reaches exactly one input per output."""
-
-    code, fields = 3, {"width": "I"}
 
     def __init__(self, width: int):
         self.width = width
@@ -195,8 +179,6 @@ class MaxPool1D(Layer):
 
 
 class Flatten(Layer):
-    code = 4
-
     def forward(self, x, ctx=None, **_):
         if ctx is not None:
             ctx["x_shape"] = x.shape
@@ -207,7 +189,6 @@ class Flatten(Layer):
 
 
 class Dense(Layer):
-    code, fields = 5, {"n_in": "I", "n_out": "I"}
     params = ("w", "b")
 
     def __init__(self, n_in: int, n_out: int):
@@ -232,8 +213,6 @@ class Dropout(Layer):
     """Inverted dropout: kept activations are rescaled at train time, so
     inference needs no adjustment and stays deterministic."""
 
-    code, fields = 6, {"rate": "f"}
-
     def __init__(self, rate: float):
         self.rate = rate
 
@@ -253,20 +232,16 @@ class Dropout(Layer):
         return dy if mask is None else dy * mask
 
 
-_LAYER_KINDS = {kind.code: kind for kind in (Conv1D, ReLU, MaxPool1D, Flatten, Dense, Dropout)}
-
-
 class ClassifierModel:
-    """Layer stack plus everything needed to train it reproducibly."""
+    """Layer stack plus everything needed to train it reproducibly.
+    `config` is the framing of the frames the model takes."""
 
-    def __init__(self, layers, seed: int, n_inputs: int = defaults.N_LINES,
-                 input_floor_db: float = -defaults.CROP_DB, flat=None):
+    def __init__(self, layers, seed: int, config: SpectralConfig = SpectralConfig(), flat=None):
         """Binds every layer's parameters to views into `flat` (zeros of
         float32 if None), which must hold exactly that many values."""
         self.layers = layers
         self.seed = seed
-        self.n_inputs = n_inputs
-        self.input_floor_db = input_floor_db
+        self.config = config
         self.training_log: list[EpochStats] = []
         self.rng = np.random.default_rng(seed)
         if flat is None:
@@ -276,6 +251,18 @@ class ClassifierModel:
             setattr(layers[i], name, view)
         # RMSprop's running mean square, parallel to `flat`; made by train
         self.rms_cache: np.ndarray | None = None
+
+    @property
+    def n_inputs(self) -> int:
+        return self.config.n_lines
+
+    @property
+    def input_floor_db(self) -> float:
+        return -self.config.crop_db
+
+    @property
+    def dropout_rate(self) -> float:
+        return next(layer.rate for layer in self.layers if isinstance(layer, Dropout))
 
     @property
     def dtype(self):
@@ -290,9 +277,9 @@ class ClassifierModel:
 
     def clone(self, dtype=None) -> "ClassifierModel":
         """Structural copy; optionally casts the weights (float64 for checks)."""
-        layers = [type(layer)(*layer.args()) for layer in self.layers]
+        layers = _network(self.n_inputs, self.dropout_rate)
         flat = self.flat.astype(dtype or self.flat.dtype)
-        return ClassifierModel(layers, self.seed, self.n_inputs, self.input_floor_db, flat)
+        return ClassifierModel(layers, self.seed, self.config, flat)
 
 
 def _parameter_total(layers) -> int:
@@ -329,16 +316,21 @@ def _network(n_inputs: int, dropout_rate: float) -> list[Layer]:
     ]
 
 
-def build_model(seed: int) -> ClassifierModel:
-    """He-uniform initialized network from a seed; biases start at zero.
-    `train` sets the dropout rate from its hyperparameters."""
+def build_model(seed: int, config: SpectralConfig = SpectralConfig()) -> ClassifierModel:
+    """He-uniform initialized network for frames made with `config`, from a
+    seed; biases start at zero. `train` sets the dropout rate from its
+    hyperparameters."""
     rng = np.random.default_rng(seed)
 
     def he_uniform(shape, fan_in):
         limit = np.sqrt(6.0 / fan_in)
         return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
-    model = ClassifierModel(_network(defaults.N_LINES, defaults.DROPOUT_RATE), seed)
+    try:
+        layers = _network(config.n_lines, defaults.DROPOUT_RATE)
+    except ValueError as exc:
+        raise FeatureMismatch(str(exc)) from None
+    model = ClassifierModel(layers, seed, config)
     for layer in model.layers:
         if "w" in layer.params:
             # a weight matrix's rows are its fan-in: c_in * k, or n_in
@@ -391,13 +383,11 @@ def _backward(layers, probs, y, ctxs) -> None:
 
 
 def check_config(model: ClassifierModel, config: SpectralConfig) -> None:
-    """Raise FeatureMismatch unless frames made with `config` fit `model`. A
-    v1 model file records the line count and the floor, so the window and
-    band must be the defaults; the hop only spaces the frames, so it is free."""
-    wanted = {"n_lines": model.n_inputs, "crop_db": -model.input_floor_db,
-              "window_s": defaults.WINDOW_S, "f_max_hz": defaults.F_MAX_HZ}
-    wrong = [f"{name} {getattr(config, name)!r} (model: {value!r})"
-             for name, value in wanted.items() if getattr(config, name) != value]
+    """Raise FeatureMismatch unless frames made with `config` fit `model`:
+    all but the hop, which only spaces the frames, must be the model's."""
+    wrong = [f"{name} {getattr(config, name)!r} (model: {getattr(model.config, name)!r})"
+             for name in ("window_s", "n_lines", "f_max_hz", "crop_db")
+             if getattr(config, name) != getattr(model.config, name)]
     if wrong:
         raise FeatureMismatch("frames do not fit the model: " + ", ".join(wrong))
 
@@ -613,71 +603,68 @@ def gradient_check(
 
 
 MODEL_MAGIC = b"CHMD"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+# magic, version, classes, seed, the SpectralConfig fields in order, dropout rate
+_HEADER = struct.Struct("<4sIIqddIddd")
+# version 1, read only: magic, version, lines, classes, seed, input floor
+# (-crop_db) and layer count, then a table of the network's layers, each a
+# code byte and its sizes; the dropout rate is the f32 at byte 82
+_V1_HEADER = struct.Struct("<4sIIIqfI")
+_V1_TABLE = struct.Struct("<BIII B BI BIII B BI B BII B Bf BII B BII")
+_V1_RATE_AT = 82
+
+
+def _v1_table(n_lines: int, rate: float) -> bytes:
+    """The layer table of a version 1 file of the network; ValueError where
+    `_network` raises one."""
+    dense_in = _network(n_lines, rate)[7].n_in  # dense1, after flatten
+    return _V1_TABLE.pack(1, 1, 16, 7, 2, 3, 4, 1, 16, 32, 5, 2, 3, 4, 4,
+                          5, dense_in, 128, 2, 6, rate, 5, 128, 64, 2, 5, 64, 3)
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    parts = [
-        struct.pack(
-            "<4sIIIqf",
-            MODEL_MAGIC,
-            MODEL_VERSION,
-            model.n_inputs,
-            defaults.N_CLASSES,
-            model.seed,
-            model.input_floor_db,
-        ),
-        struct.pack("<I", len(model.layers)),
-    ]
-    for layer in model.layers:
-        parts.append(struct.pack("<B", layer.code))
-        parts.append(struct.pack(layer.struct_format(), *layer.args()))
-    write_bytes(path, *parts, np.ascontiguousarray(model.flat, dtype="<f4"))
+    """A version 2 file: the header, then the weights as little-endian f32."""
+    header = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, defaults.N_CLASSES, model.seed,
+                          *astuple(model.config), model.dropout_rate)
+    write_bytes(path, header, np.ascontiguousarray(model.flat, dtype="<f4"))
 
 
 def load_model(path) -> ClassifierModel:
-    """Reads a model file. It must hold the network `build_model` makes,
-    with any dropout rate in [0, 1), over a finite negative input floor."""
+    """Reads a version 2 or version 1 model file. It must hold the network
+    `build_model` makes for a valid spectral config, with any dropout rate
+    in [0, 1)."""
     blob = read_bytes(path)
     try:
-        magic, version, n_inputs, n_classes, seed, floor = struct.unpack_from(
-            "<4sIIIqf", blob
-        )
-        pos = struct.calcsize("<4sIIIqf")
+        magic, version = struct.unpack_from("<4sI", blob)
         if magic != MODEL_MAGIC:
             raise CorruptModel(f"bad magic {magic!r}")
-        if version != MODEL_VERSION:
+        if version == MODEL_VERSION:
+            _, _, n_classes, seed, *fields, rate = _HEADER.unpack_from(blob)
+            pos = _HEADER.size
+        elif version == 1:
+            _, _, n_lines, n_classes, seed, floor, n_layers = _V1_HEADER.unpack_from(blob)
+            (rate,) = struct.unpack_from("<f", blob, _V1_RATE_AT)
+            pos = _V1_HEADER.size + _V1_TABLE.size
+        else:
             raise CorruptModel(f"unsupported version {version}")
-        if seed < 0:
-            raise CorruptModel(f"negative seed {seed}")
-        if n_classes != defaults.N_CLASSES:
-            raise CorruptModel(f"{n_classes} classes, expected {defaults.N_CLASSES}")
-        if not (math.isfinite(floor) and floor < 0):
-            raise CorruptModel(f"input floor {floor} dB is not finite and negative")
-        (n_layers,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-
-        layers = []
-        for _ in range(n_layers):
-            (code,) = struct.unpack_from("<B", blob, pos)
-            kind = _LAYER_KINDS.get(code)
-            if kind is None:
-                raise CorruptModel(f"unknown layer code {code}")
-            fields = kind.struct_format()
-            layers.append(kind(*struct.unpack_from(fields, blob, pos + 1)))
-            pos += 1 + struct.calcsize(fields)
     except struct.error as exc:
         raise CorruptModel(f"truncated model file: {exc}") from exc
+    if seed < 0:
+        raise CorruptModel(f"negative seed {seed}")
+    if n_classes != defaults.N_CLASSES:
+        raise CorruptModel(f"{n_classes} classes, expected {defaults.N_CLASSES}")
 
-    # layers hold only their dimensions so far: require them to be the
-    # network, whose one free value is the dropout rate, before allocating
-    rate = next((layer.rate for layer in layers if isinstance(layer, Dropout)), 0.0)
+    # require the network before allocating: its sizes bound the weights
     try:
-        network = _network(n_inputs, rate)
+        if version == MODEL_VERSION:
+            config = SpectralConfig(*fields)
+        else:
+            config = SpectralConfig(n_lines=n_lines, crop_db=-floor)
+            if (n_layers, blob[_V1_HEADER.size : pos]) != (13, _v1_table(n_lines, rate)):
+                raise CorruptModel("the layers are not the classifier network")
+        layers = _network(config.n_lines, rate)
     except ValueError as exc:
         raise CorruptModel(str(exc)) from None
-    if [(type(a), a.args()) for a in layers] != [(type(b), b.args()) for b in network]:
-        raise CorruptModel("the layers are not the classifier network")
     n_weights = _parameter_total(layers)
     if pos + 4 * n_weights > len(blob):
         raise CorruptModel("model file ends before all weights are read")
@@ -687,7 +674,7 @@ def load_model(path) -> ClassifierModel:
     # unlike isfinite, min and max need no array as large as the weights
     if not (np.isfinite(weights.min()) and np.isfinite(weights.max())):
         raise CorruptModel("a weight is NaN or infinite")
-    return ClassifierModel(layers, seed, n_inputs, float(floor), weights.astype(np.float32))
+    return ClassifierModel(layers, seed, config, weights.astype(np.float32))
 
 
 def save_training_log(log: list[EpochStats], path) -> None:

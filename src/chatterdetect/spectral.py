@@ -23,11 +23,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import defaults
-from .errors import BandExceedsNyquist, HopTooShort, WindowTooShort, write_bytes
+from .errors import BandExceedsNyquist, FftTooLong, HopTooShort, WindowTooShort, write_bytes
 from .signal_io import TimeSignal
 
 PEAK_QUANT_LEVELS = 32768
 MIN_WINDOW_SAMPLES = 16
+# 16x the default 16 384 points; room for 16 384 lines over 0-2500 Hz at 22 050 Hz
+MAX_FFT_POINTS = 1 << 18
 
 # Frames per FFT pass in extract_frames. A padded row is 16 384 float64
 # points (128 KB) at the default config and 22 050 Hz, so a 240 s recording
@@ -69,15 +71,18 @@ class SpectralFrame:
 
 
 def frame_counts(n_samples: int, sample_rate_hz: float, config: SpectralConfig):
-    """(hop, window) in samples for this rate, plus how many frames fit."""
-    hop_n = int(round(config.hop_s * sample_rate_hz))
-    window_n = int(round(config.window_s * sample_rate_hz))
+    """(hop, window) in samples for this rate, plus how many frames fit.
+    Also checks the FFT length, so callers can size their output first."""
+    # capped so a product past float range still rounds (to one frame, or FftTooLong)
+    hop_n = int(round(min(config.hop_s * sample_rate_hz, 2.0**62)))
+    window_n = int(round(min(config.window_s * sample_rate_hz, 2.0**62)))
     if window_n < MIN_WINDOW_SAMPLES:
         raise WindowTooShort(
             f"window of {window_n} samples is below the {MIN_WINDOW_SAMPLES}-sample minimum"
         )
     if hop_n < 1:
         raise HopTooShort(f"hop of {config.hop_s:g} s rounds to zero samples")
+    _n_fft(window_n, sample_rate_hz, config)
     n_frames = (n_samples - window_n) // hop_n + 1 if n_samples >= window_n else 0
     return hop_n, window_n, n_frames
 
@@ -117,7 +122,11 @@ def _n_fft(window_n: int, sample_rate_hz: float, config: SpectralConfig) -> int:
     # Smallest power of two whose raw bin spacing is at most the output
     # grid spacing, so the grid resampling never skips a bin.
     grid_df = config.f_max_hz / (config.n_lines - 1)
-    need = max(window_n, int(np.ceil(sample_rate_hz / grid_df)))
+    bins = sample_rate_hz / grid_df if grid_df > 0 else np.inf  # f_max may underflow
+    if max(window_n, bins) > MAX_FFT_POINTS:
+        raise FftTooLong(f"{config} at {sample_rate_hz:g} Hz needs an FFT of more than "
+                         f"{MAX_FFT_POINTS} points")
+    need = max(window_n, int(np.ceil(bins)))
     return 1 << int(need - 1).bit_length()
 
 

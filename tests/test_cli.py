@@ -1,5 +1,6 @@
 import io
 import os
+import struct
 import subprocess
 import sys
 
@@ -8,7 +9,6 @@ import pytest
 import chatterdetect as cd
 from chatterdetect import defaults
 from chatterdetect.cli import build_parser, run
-from chatterdetect.model import ClassifierModel, _network
 
 
 def parse(argv):
@@ -122,25 +122,101 @@ def test_hop_rounding_to_zero_samples_exits_2(tmp_path, capsys):
     assert "HopTooShort" in capsys.readouterr().err
 
 
+def assert_predict_runs_on_the_models_frames(tmp_path, capsys, model_path, wav):
+    """predict's rows are predict_batch, one frame at a time, over frames
+    made with the model's config, and its PGMs are those frames drawn with
+    the model's crop."""
+    model = cd.load_model(model_path)
+    frames = cd.extract_frames(cd.load_wav(wav), model.config)
+    pgm_dir, expected_pgm = tmp_path / "frames", tmp_path / "expected.pgm"
+    capsys.readouterr()
+    assert run(["predict", "--model", str(model_path), "--wav", str(wav),
+                "--emit-frames", str(pgm_dir)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "t_start,label,p_chatter,p_machining,p_rotation"
+    assert len(rows) == 1 + len(frames) > 1
+    for row, frame in zip(rows[1:], frames):
+        probs = cd.predict_batch(model, frame.lines.reshape(1, -1))[0]
+        label = cd.MachiningClass(int(probs.argmax())).token
+        assert row == f"{frame.t_start_s:.6g},{label}," + ",".join(f"{p:.6g}" for p in probs)
+        pgm = (pgm_dir / f"frame_{frame.frame_index:05d}.pgm").read_bytes()
+        assert pgm.startswith(f"P5\n{model.n_inputs} 64\n".encode())
+        cd.export_frame_pgm(frame, expected_pgm, model.config)
+        assert pgm == expected_pgm.read_bytes()
+
+
 @pytest.mark.parametrize(
     "flags",
-    [["--lines", "512"], ["--crop-db", "40"], ["--window", "0.05"], ["--fmax", "2000"]],
-    ids=["lines-512", "crop-db-40", "window-0.05", "fmax-2000"],
+    [["--lines", "512"], ["--crop-db", "40"], ["--window", "0.05"], ["--fmax", "2000"],
+     ["--lines", "512", "--fmax", "2000"]],
+    ids=["lines-512", "crop-db-40", "window-0.05", "fmax-2000", "lines-512-fmax-2000"],
 )
 def test_frames_the_model_does_not_take_exit_2(tmp_path, capsys, flags):
+    # a model trained on non-default frames takes them through eval and
+    # predict; the default model does not take them
     corpus, ds, model = tmp_path / "corpus", tmp_path / "ds", tmp_path / "m.chmd"
     assert run(["synth", "--out", str(corpus), "--per-class", "2",
                 "--rpm", "1800", "--seed", "0"]) == 0
     assert run(["extract", "--in", str(corpus), "--out", str(ds), "--seed", "0"] + flags) == 0
-    capsys.readouterr()
-    assert run(["train", "--data", str(ds), "--out", str(model), "--epochs", "1"]) == 2
-    assert not model.exists()
+    assert run(["train", "--data", str(ds), "--out", str(model), "--epochs", "1"]) == 0
+    assert cd.load_model(model).config == cd.load_dataset(ds).config
+    assert run(["eval", "--model", str(model), "--data", str(ds),
+                "--out", str(tmp_path / "report")]) == 0
+    wav = next(corpus.glob("chatter-*.wav"))
+    assert_predict_runs_on_the_models_frames(tmp_path, capsys, model, wav)
+
     cd.save_model(cd.build_model(0), model)
     assert run(["eval", "--model", str(model), "--data", str(ds),
-                "--out", str(tmp_path / "report")]) == 2
+                "--out", str(tmp_path / "default-report")]) == 2
     err = capsys.readouterr().err
-    assert err.count("FeatureMismatch") == 2 and "Traceback" not in err
-    assert not (tmp_path / "report").exists()
+    assert "FeatureMismatch" in err and "Traceback" not in err
+    assert not (tmp_path / "default-report").exists()
+
+
+def test_too_few_lines_for_the_network_exit_2(tmp_path, capsys):
+    corpus, ds, model = tmp_path / "corpus", tmp_path / "ds", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "2",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    assert run(["extract", "--in", str(corpus), "--out", str(ds), "--seed", "0",
+                "--lines", "37"]) == 0
+    capsys.readouterr()
+    assert run(["train", "--data", str(ds), "--out", str(model), "--epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "FeatureMismatch" in err and "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--fmax", "0.001"], ["--lines", "100000000"], ["--window", "1e308"]],
+    ids=["fmax-0.001", "lines-1e8", "window-1e308"],
+)
+def test_overlong_fft_exits_2(tmp_path, capsys, flags):
+    corpus = tmp_path / "corpus"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert run(["extract", "--in", str(corpus), "--out", str(tmp_path / "ds"),
+                "--seed", "0"] + flags) == 2
+    err = capsys.readouterr().err
+    assert "FftTooLong" in err and "Traceback" not in err
+    assert not (tmp_path / "ds").exists()
+
+
+def test_predict_with_an_overlong_fft_model_exits_2(tmp_path, capsys):
+    # a model file whose band edge is 0.001 Hz: the config is valid, its FFT is not
+    corpus, model = tmp_path / "corpus", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    cd.save_model(cd.build_model(0), model)
+    blob = bytearray(model.read_bytes())
+    struct.pack_into("<d", blob, 40, 0.001)  # f_max_hz in the version 2 header
+    model.write_bytes(bytes(blob))
+    capsys.readouterr()
+    wav = next(corpus.glob("chatter-*.wav"))
+    assert run(["predict", "--model", str(model), "--wav", str(wav)]) == 2
+    out, err = capsys.readouterr()
+    assert "FftTooLong" in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_predict_stops_quietly_when_stdout_closes(tmp_path, monkeypatch, capsys):
@@ -177,29 +253,17 @@ def test_predict_rows_are_per_frame_predict_batch(tmp_path, capsys, trained_smal
         assert row == f"{frame.t_start_s:.6g},{label}," + ",".join(f"{p:.6g}" for p in probs)
 
 
-def model_with_floor_30():
-    model = cd.build_model(1)
-    model.input_floor_db = -30.0
-    return model
-
-
 @pytest.mark.parametrize(
-    "make_model",
-    [model_with_floor_30, lambda: ClassifierModel(_network(512, 0.3), 1, n_inputs=512)],
+    "config", [cd.SpectralConfig(crop_db=30.0), cd.SpectralConfig(n_lines=512)],
     ids=["floor-30", "lines-512"],
 )
-def test_predict_with_a_model_for_other_frames_exits_2(tmp_path, capsys, make_model):
-    # predict frames at the default config: 1024 lines cropped at 20 dB
+def test_predict_frames_with_the_models_config(tmp_path, capsys, config):
     corpus, model = tmp_path / "corpus", tmp_path / "m.chmd"
     assert run(["synth", "--out", str(corpus), "--per-class", "1",
                 "--rpm", "1800", "--seed", "0"]) == 0
-    cd.save_model(make_model(), model)
-    capsys.readouterr()
+    cd.save_model(cd.build_model(1, config), model)
     wav = next(corpus.glob("chatter-*.wav"))
-    assert run(["predict", "--model", str(model), "--wav", str(wav)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "FeatureMismatch" in err and "Traceback" not in err
+    assert_predict_runs_on_the_models_frames(tmp_path, capsys, model, wav)
 
 
 def test_emit_frames_onto_an_existing_file_exits_2(tmp_path, capsys):

@@ -13,9 +13,11 @@ import chatterdetect as cd
 from chatterdetect.dataset import FRAMES_FILE, MANIFEST_FILE
 from chatterdetect.errors import ChatterError, CorruptDataset, CorruptModel
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
+from conftest import write_v1_model
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
-MODEL_HEAD = 105  # bytes before the weights in model_file: header and layer table
+# bytes before the weights: the version 2 header, or the version 1 header and layer table
+MODEL_HEAD = {"v2": 64, "v1": 105}
 
 
 @pytest.fixture(scope="module")
@@ -32,14 +34,18 @@ def dataset_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def model_file(tmp_path_factory):
-    """A valid model file: build_model's network with seeded random weights."""
+def model_files(tmp_path_factory):
+    """Valid model files by version ("v2", "v1"): build_model's network
+    with seeded random weights."""
     model = cd.build_model(5)
     model.flat[...] = np.random.default_rng(5).standard_normal(model.flat.size)
-    path = tmp_path_factory.mktemp("fuzz") / "m.chmd"
-    cd.save_model(model, path)
-    assert np.array_equal(cd.load_model(path).flat, model.flat)
-    return path
+    root = tmp_path_factory.mktemp("fuzz")
+    cd.save_model(model, root / "v2.chmd")
+    write_v1_model(root / "v1.chmd", model.flat, seed=5)
+    files = {version: root / f"{version}.chmd" for version in MODEL_HEAD}
+    for path in files.values():
+        assert np.array_equal(cd.load_model(path).flat, model.flat)
+    return files
 
 
 @pytest.fixture(scope="module", params=["pcm16-mono", "float32-stereo"])
@@ -105,15 +111,17 @@ def test_damaged_manifest_raises_only_chatter_errors(dataset_dir, data):
         (dataset_dir / MANIFEST_FILE).write_bytes(valid)
 
 
+@pytest.mark.parametrize("version", ["v2", "v1"])
 @FUZZ
 @given(data=st.data())
-def test_damaged_model_file_raises_only_chatter_errors(model_file, data):
-    valid = model_file.read_bytes()
+def test_damaged_model_file_raises_only_chatter_errors(model_files, version, data):
+    path = model_files[version]
+    valid = path.read_bytes()
     try:
-        model_file.write_bytes(data.draw(damaged(valid, head=MODEL_HEAD)))
-        _load_only_chatter_errors(cd.load_model, model_file)
+        path.write_bytes(data.draw(damaged(valid, head=MODEL_HEAD[version])))
+        _load_only_chatter_errors(cd.load_model, path)
     finally:
-        model_file.write_bytes(valid)
+        path.write_bytes(valid)
 
 
 @FUZZ
@@ -156,12 +164,15 @@ def test_non_utf8_manifest_is_corrupt(dataset_dir):
         path.write_bytes(valid)
 
 
-def test_negative_seed_is_corrupt(model_file):
-    valid = model_file.read_bytes()
-    try:
-        # the seed is the int64 after magic, version, n_inputs and n_classes
-        model_file.write_bytes(valid[:16] + struct.pack("<q", -1) + valid[24:])
-        with pytest.raises(CorruptModel):
-            cd.load_model(model_file)
-    finally:
-        model_file.write_bytes(valid)
+def test_negative_seed_is_corrupt(model_files):
+    # the seed is the int64 after magic, version and classes (version 2), or
+    # after magic, version, lines and classes (version 1)
+    for version, seed_at in (("v2", 12), ("v1", 16)):
+        path = model_files[version]
+        valid = path.read_bytes()
+        try:
+            path.write_bytes(valid[:seed_at] + struct.pack("<q", -1) + valid[seed_at + 8 :])
+            with pytest.raises(CorruptModel, match="negative seed -1"):
+                cd.load_model(path)
+        finally:
+            path.write_bytes(valid)

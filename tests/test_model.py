@@ -11,18 +11,9 @@ from chatterdetect.dataset import Split
 from chatterdetect.errors import (
     CorruptModel, EmptyDataset, MissingClass, TrainingDiverged, WrongInputLength,
 )
-from chatterdetect.model import (
-    MODEL_MAGIC,
-    MODEL_VERSION,
-    ClassifierModel,
-    Conv1D,
-    Dense,
-    Flatten,
-    MaxPool1D,
-    _cross_entropy,
-    _network,
-)
+from chatterdetect.model import MODEL_VERSION, _cross_entropy
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
+from conftest import V1_LAYERS, write_v1_model
 
 
 def architecture_parameter_oracle():
@@ -228,8 +219,8 @@ def test_model_version_bump_rejected(tmp_path):
     path = tmp_path / "m.chmd"
     cd.save_model(cd.build_model(0), path)
     blob = bytearray(path.read_bytes())
-    assert blob[4] == MODEL_VERSION
-    blob[4] = MODEL_VERSION + 1
+    assert blob[4] == MODEL_VERSION == 2
+    blob[4] = 3
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptModel):
         cd.load_model(path)
@@ -244,22 +235,40 @@ def test_model_truncation_rejected(tmp_path):
 
 
 def test_model_file_layout(tmp_path):
-    # header, then each layer's code byte and constructor fields, then weights
+    # magic, version, classes, seed, the spectral config, dropout, then weights
     model = cd.build_model(0)
     cd.save_model(model, tmp_path / "m.chmd")
-    conv, relu, pool, flatten, dense, dropout = "<BIII", "<B", "<BI", "<B", "<BII", "<Bf"
-    layers = [
-        (conv, 1, 1, 16, 7), (relu, 2), (pool, 3, 4),
-        (conv, 1, 16, 32, 5), (relu, 2), (pool, 3, 4),
-        (flatten, 4),
-        (dense, 5, 62 * 32, 128), (relu, 2), (dropout, 6, 0.3),
-        (dense, 5, 128, 64), (relu, 2),
-        (dense, 5, 64, 3),
-    ]
-    expected = struct.pack("<4sIIIqfI", b"CHMD", 1, 1024, 3, 0, -20.0, len(layers))
-    expected += b"".join(struct.pack(fmt, *fields) for fmt, *fields in layers)
+    expected = struct.pack("<4sIIqddIddd", b"CHMD", 2, 3, 0, 0.1, 0.1, 1024, 2500.0, 20.0, 0.3)
+    assert len(expected) == 64
     expected += model.flat.astype("<f4").tobytes()
     assert (tmp_path / "m.chmd").read_bytes() == expected
+
+
+def test_model_file_keeps_the_config_and_dropout_at_full_precision(tmp_path):
+    config = cd.SpectralConfig(hop_s=0.07, window_s=0.05, n_lines=512, f_max_hz=2000.1,
+                               crop_db=20.1)
+    model = cd.build_model(3, config)
+    model.layers[9].rate = 0.1
+    cd.save_model(model, tmp_path / "m.chmd")
+    back = cd.load_model(tmp_path / "m.chmd")
+    assert back.config == config and back.dropout_rate == 0.1
+    assert (back.n_inputs, back.input_floor_db) == (512, -20.1)
+    assert np.array_equal(back.flat, model.flat)
+
+
+def test_version_1_file_loads_with_the_default_config(tmp_path, trained_small_model):
+    write_v1_model(tmp_path / "v1.chmd", trained_small_model.flat, seed=7)
+    back = cd.load_model(tmp_path / "v1.chmd")
+    assert back.config == cd.SpectralConfig() and back.seed == 7
+    frames = np.random.default_rng(15).uniform(-20, 0, (50, 1024)).astype(np.float32)
+    assert np.array_equal(
+        cd.predict_batch(back, frames), cd.predict_batch(trained_small_model, frames)
+    )
+    # saved again, it is a version 2 file with the same weight bytes
+    cd.save_model(back, tmp_path / "v2.chmd")
+    blob = (tmp_path / "v2.chmd").read_bytes()
+    assert struct.unpack_from("<4sI", blob) == (b"CHMD", 2)
+    assert blob[64:] == (tmp_path / "v1.chmd").read_bytes()[105:]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -271,61 +280,58 @@ def test_non_finite_weight_rejected(tmp_path, bad):
         cd.load_model(tmp_path / "m.chmd")
 
 
-HUGE_DENSE = struct.pack("<BII", Dense.code, 2**31, 2**31)
-FLATTEN = struct.pack("<B", Flatten.code)
+HUGE_DENSE = ("<BII", 5, 2**31, 2**31)
+FLATTEN = ("<B", 4)
 
 
-def _packed(path, n_inputs, n_classes, layers):
-    """A header, the packed `layers` and 64 bytes of weights."""
-    header = struct.pack("<4sIIIqf", MODEL_MAGIC, MODEL_VERSION, n_inputs, n_classes, 0, -20.0)
-    path.write_bytes(header + struct.pack("<I", len(layers)) + b"".join(layers) + bytes(64))
+def _v1(edits=(), **header):
+    """A version 1 file: `V1_LAYERS` with each (index, layer) of `edits`
+    put in, all the weights that table holds, and `header` values."""
+    layers = list(V1_LAYERS)
+    for i, layer in edits:
+        layers[i] = layer
+    return lambda path: write_v1_model(path, layers=layers, **header)
 
 
-def _complete(path, edit=None, n_inputs=1024, n_classes=3, floor=-20.0):
-    """build_model's layers as `edit` leaves them, all their weights, and
-    the header's line count, class count and input floor as given."""
-    layers = _network(1024, 0.3)
-    if edit:
-        edit(layers)
-    cd.save_model(ClassifierModel(layers, seed=0), path)
-    blob = bytearray(path.read_bytes())
-    struct.pack_into("<IIqf", blob, 8, n_inputs, n_classes, 0, floor)
-    path.write_bytes(bytes(blob))
-
-
-def _narrow_convs(layers):
-    # a consistent chain that is not the network
-    layers[0], layers[3], layers[7] = Conv1D(1, 8, 7), Conv1D(8, 8, 5), Dense(62 * 8, 128)
-
-
-def _four_classes(layers):
-    layers[-1] = Dense(64, 4)
-
-
-def _dropout_one(layers):
-    layers[9].rate = 1.0
-
-
-def _no_dense_inputs(layers):
-    layers[7] = Dense(0, 128)  # what the network's arithmetic gives for 22 lines
+def _v2(offset, fmt, value):
+    """A complete version 2 file of build_model(0) with `value` packed as
+    `fmt` at byte `offset`."""
+    def forge(path):
+        cd.save_model(cd.build_model(0), path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+    return forge
 
 
 FORGED = {
-    # a consistent chain whose 2**64 bytes of weights dwarf the file
-    "huge-chained": lambda p: _packed(p, 2**31, 2**31, [FLATTEN, HUGE_DENSE]),
+    # version 1. A consistent chain whose 2**64 bytes of weights dwarf the file
+    "huge-chained": lambda p: write_v1_model(p, np.zeros(16), layers=[FLATTEN, HUGE_DENSE],
+                                             n_lines=2**31, n_classes=2**31),
     # the same layer where the chain does not fit
-    "huge-unchained": lambda p: _packed(p, 1024, 3, [FLATTEN, HUGE_DENSE]),
+    "huge-unchained": lambda p: write_v1_model(p, np.zeros(16), layers=[FLATTEN, HUGE_DENSE]),
     # a zero-width pooling window
-    "zero-pool": lambda p: _packed(p, 1024, 3, [struct.pack("<BI", MaxPool1D.code, 0)]),
+    "zero-pool": lambda p: write_v1_model(p, np.zeros(16), layers=[("<BI", 3, 0)]),
     # the rest are complete files: only the forged value is wrong
-    "narrow-convs": lambda p: _complete(p, _narrow_convs),
-    "floor-nan": lambda p: _complete(p, floor=math.nan),
-    "floor-0": lambda p: _complete(p, floor=0.0),
-    "floor+20": lambda p: _complete(p, floor=20.0),
-    "floor-inf": lambda p: _complete(p, floor=-math.inf),
-    "classes-4": lambda p: _complete(p, _four_classes, n_classes=4),
-    "dropout-1": lambda p: _complete(p, _dropout_one),
-    "inputs-22": lambda p: _complete(p, _no_dense_inputs, n_inputs=22),
+    "narrow-convs": _v1([(0, ("<BIII", 1, 1, 8, 7)), (3, ("<BIII", 1, 8, 8, 5)),
+                         (7, ("<BII", 5, 62 * 8, 128))]),
+    "floor-nan": _v1(floor=math.nan),
+    "floor-0": _v1(floor=0.0),
+    "floor+20": _v1(floor=20.0),
+    "floor-inf": _v1(floor=-math.inf),
+    "classes-4": _v1([(12, ("<BII", 5, 64, 4))], n_classes=4),
+    "dropout-1": _v1([(9, ("<Bf", 6, 1.0))]),
+    # what the network's arithmetic gives for 22 lines
+    "inputs-22": _v1([(7, ("<BII", 5, 0, 128))], n_lines=22),
+    # version 2: seed at byte 12, the config's fields at 20, 28, 36 (lines),
+    # 40 and 48 (crop), the dropout rate at 56
+    "v2-lines-22": _v2(36, "<I", 22),
+    "v2-lines-2**31": _v2(36, "<I", 2**31),
+    "v2-crop-0": _v2(48, "<d", 0.0),
+    "v2-crop-nan": _v2(48, "<d", math.nan),
+    "v2-window-nan": _v2(28, "<d", math.nan),
+    "v2-dropout-1": _v2(56, "<d", 1.0),
+    "v2-classes-4": _v2(8, "<I", 4),
 }
 
 

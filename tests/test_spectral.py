@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import chatterdetect as cd
 from chatterdetect import spectral
-from chatterdetect.errors import BandExceedsNyquist, WindowTooShort
+from chatterdetect.errors import BandExceedsNyquist, FftTooLong, WindowTooShort
 from chatterdetect.spectral import (
     SpectralConfig,
     complex_spectrum,
@@ -57,6 +57,25 @@ def test_window_too_short():
 def test_band_exceeds_nyquist():
     with pytest.raises(BandExceedsNyquist):
         cd.magnitude_spectrum(np.ones(2205), FS, SpectralConfig(f_max_hz=20000))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [SpectralConfig(f_max_hz=0.001), SpectralConfig(n_lines=100_000_000),
+     SpectralConfig(window_s=1e308), SpectralConfig(f_max_hz=5e-324)],
+    ids=["fmax-0.001", "lines-1e8", "window-1e308", "fmax-underflows"],
+)
+def test_fft_over_the_bound_is_refused_before_framing(config):
+    with pytest.raises(FftTooLong):
+        spectral.frame_counts(22050, FS, config)
+
+
+def test_fft_bound_admits_16384_lines_at_the_default_band():
+    assert spectral._n_fft(2205, FS, SpectralConfig(n_lines=16384)) == spectral.MAX_FFT_POINTS
+
+
+def test_hop_beyond_any_signal_gives_one_frame():
+    assert spectral.frame_counts(22050, FS, SpectralConfig(hop_s=1e308)) == (2**62, 2205, 1)
 
 
 def test_zero_window_gives_zero_magnitudes():
