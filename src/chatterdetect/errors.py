@@ -28,7 +28,8 @@ class SampleRateTooLow(ChatterError):
 
 
 class NonFiniteSamples(ChatterError):
-    """A signal holds NaN or infinite samples, or has a non-finite sample rate."""
+    """A signal holds NaN or infinite samples or has a non-finite sample
+    rate, or a frame given to the classifier holds a NaN or infinite line."""
 
 
 class IoFailure(ChatterError):

@@ -32,8 +32,8 @@ import numpy as np
 from . import defaults
 from .dataset import LabeledDataset, Split
 from .errors import (
-    CorruptModel, EmptyDataset, FeatureMismatch, MissingClass, TrainingDiverged,
-    WrongInputLength, read_bytes, write_bytes, write_lines,
+    CorruptModel, EmptyDataset, FeatureMismatch, MissingClass, NonFiniteSamples,
+    TrainingDiverged, WrongInputLength, read_bytes, write_bytes, write_lines,
 )
 from .signal_io import CLASS_ORDER, MachiningClass
 from .spectral import SpectralConfig
@@ -298,6 +298,11 @@ def _parameter_views(layers, vec):
     return out
 
 
+# `_network`'s layers up to flatten: they map each frame on its own, and
+# dense1, the first of the rest, takes their output.
+_CONV_STAGE = 7
+
+
 def _network(n_inputs: int, dropout_rate: float) -> list[Layer]:
     """The classifier's layers over `n_inputs` spectral lines: the one place
     that decides layer kinds and sizes."""
@@ -345,24 +350,65 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward_batch(model: ClassifierModel, x, training=False, ctxs=None):
+def _condition(model: ClassifierModel, x):
+    """(n, n_inputs) dB lines as the (n, n_inputs, 1) network input: in the
+    model's dtype, scaled onto [-1, 0] so fresh logits stay moderate."""
     a = np.ascontiguousarray(x, dtype=model.dtype).reshape(x.shape[0], model.n_inputs, 1)
-    # condition the dB lines onto [-1, 0] so fresh logits stay moderate
-    a = a * a.dtype.type(-1.0 / model.input_floor_db)
-    for i, layer in enumerate(model.layers):
-        ctx = None if ctxs is None else ctxs[i]
+    return a * a.dtype.type(-1.0 / model.input_floor_db)
+
+
+def _forward_batch(model: ClassifierModel, x, ctxs, training=False):
+    """Softmax outputs of the whole batch `x`, recording into one context
+    per layer what backward needs: the path of training and its checks."""
+    a = _condition(model, x)
+    for layer, ctx in zip(model.layers, ctxs):
         a = layer.forward(a, ctx, training=training, rng=model.rng)
     return _softmax(a)
 
 
+# Inference runs the layers up to flatten on blocks of this many frames.
+# One frame's activations from conv1 to pool2 take about 300 KB at the
+# defaults, so a whole batch of hundreds of frames makes every layer
+# stream its input and output through memory, while a block's stay in
+# cache. Those layers map each frame on its own, so the block size
+# changes no bit; the dense layers, whose GEMM rows depend on the row
+# count, still see the whole batch. For 546 frames on a 2-vCPU Xeon with
+# one BLAS thread, blocks of 8, 16 and 32 took about 80, 73 and 72 ms
+# against 115 ms unblocked; 16 holds less memory than 32.
+_INFER_BLOCK = 16
+
+
+def _inference(model: ClassifierModel, x):
+    """Softmax outputs for the (n, n_inputs) frames `x`, without dropout."""
+    conv, dense = model.layers[:_CONV_STAGE], model.layers[_CONV_STAGE:]
+    a = np.empty((len(x), dense[0].n_in), dtype=model.dtype)
+    for lo in range(0, len(x), _INFER_BLOCK):
+        block = _condition(model, x[lo : lo + _INFER_BLOCK])
+        for layer in conv:
+            block = layer.forward(block)
+        a[lo : lo + len(block)] = block
+    for layer in dense:
+        a = layer.forward(a)
+    return _softmax(a)
+
+
 def predict_batch(model: ClassifierModel, lines_matrix) -> np.ndarray:
-    """Probabilities for a (n, n_inputs) batch; deterministic (no dropout)."""
+    """Probabilities for a (n, n_inputs) batch; deterministic (no dropout).
+    A NaN or infinite line, also one that overflows the model's dtype,
+    raises NonFiniteSamples naming the first such row."""
     x = np.asarray(lines_matrix)
     if x.ndim != 2 or x.shape[1] != model.n_inputs:
         raise WrongInputLength(
             f"expected (n, {model.n_inputs}) inputs, got {x.shape}"
         )
-    return _forward_batch(model, x, training=False)
+    if x.dtype != model.dtype:
+        with np.errstate(over="ignore"):  # an overflow becomes inf, rejected below
+            x = x.astype(model.dtype)
+    finite = np.isfinite(x)
+    if not finite.all():
+        row = int(finite.all(axis=1).argmin())
+        raise NonFiniteSamples(f"frame {row} holds a NaN or infinite line")
+    return _inference(model, x)
 
 
 def _cross_entropy(probs, y):
@@ -395,7 +441,7 @@ def check_config(model: ClassifierModel, config: SpectralConfig) -> None:
 def _eval_arrays(model, x, y, batch=512):
     total_loss, correct = 0.0, 0
     for start in range(0, len(y), batch):
-        probs = _forward_batch(model, x[start : start + batch], training=False)
+        probs = _inference(model, x[start : start + batch])
         batch_loss, batch_correct = _cross_entropy(probs, y[start : start + batch])
         total_loss += batch_loss
         correct += batch_correct
@@ -444,7 +490,7 @@ def train(
         for start in range(0, n, hp.batch_size):
             idx = order[start : start + hp.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            probs = _forward_batch(model, xb, training=True, ctxs=ctxs)
+            probs = _forward_batch(model, xb, ctxs, training=True)
             batch_loss, batch_correct = _cross_entropy(probs, yb)
             epoch_loss += batch_loss
             epoch_correct += batch_correct
@@ -525,7 +571,7 @@ def _activation_signature(model, x):
     of the network, so a central difference between them is meaningful.
     """
     ctxs = [{} for _ in model.layers]
-    probs = _forward_batch(model, x, training=False, ctxs=ctxs)
+    probs = _forward_batch(model, x, ctxs)
     signature = []
     for layer, ctx in zip(model.layers, ctxs):
         if isinstance(layer, (ReLU, MaxPool1D)):
@@ -561,7 +607,7 @@ def gradient_check(
     y = int(label)
 
     ctxs = [{} for _ in m.layers]
-    probs = _forward_batch(m, x, training=False, ctxs=ctxs)
+    probs = _forward_batch(m, x, ctxs)
     _backward(m.layers, probs, np.array([y]), ctxs)
     analytic = {(i, name): ctxs[i]["d" + name] for i, name, _ in m.parameters()}
 
@@ -617,7 +663,7 @@ _V1_RATE_AT = 82
 def _v1_table(n_lines: int, rate: float) -> bytes:
     """The layer table of a version 1 file of the network; ValueError where
     `_network` raises one."""
-    dense_in = _network(n_lines, rate)[7].n_in  # dense1, after flatten
+    dense_in = _network(n_lines, rate)[_CONV_STAGE].n_in
     return _V1_TABLE.pack(1, 1, 16, 7, 2, 3, 4, 1, 16, 32, 5, 2, 3, 4, 4,
                           5, dense_in, 128, 2, 6, rate, 5, 128, 64, 2, 5, 64, 3)
 

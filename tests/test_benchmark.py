@@ -29,12 +29,15 @@ def test_benchmark_output_checks_pass(workload):
     assert result["metrics"]["pass_rate"]["value"] == 1.0
 
 
-# spans of the names perfbench/probes.py patches in the package's modules;
-# a renamed or bypassed name leaves its span, and so its metric, at 0
+# spans of the names perfbench/probes.py patches in the package's modules
+# and of the layer methods it wraps per model; a renamed or bypassed name
+# or layer method leaves its span, and so its metric, at 0
 TRACED_SPANS = {
     "ingest_eval": ["synth.generate_us", "spectral.magnitude_spectrum_us",
-                    "spectral.extract_frames_us"],
-    "stream_predict": ["spectral.magnitude_spectrum_us", "spectral.extract_frames_us"],
+                    "spectral.extract_frames_us", "model.predict_batch_us_per_frame",
+                    "model.conv1.fwd_us", "model.dense1.fwd_us"],
+    "stream_predict": ["spectral.magnitude_spectrum_us", "spectral.extract_frames_us",
+                       "model.conv1.fwd_us"],
 }
 
 

@@ -2,6 +2,7 @@ import logging
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import pytest
 import chatterdetect as cd
 from chatterdetect.dataset import Split
 from chatterdetect.errors import (
-    CorruptModel, EmptyDataset, MissingClass, TrainingDiverged, WrongInputLength,
+    CorruptModel, EmptyDataset, MissingClass, NonFiniteSamples, TrainingDiverged,
+    WrongInputLength,
 )
-from chatterdetect.model import MODEL_VERSION, _cross_entropy
+from chatterdetect.model import (
+    _INFER_BLOCK, MODEL_VERSION, _cross_entropy, _eval_arrays, _forward_batch,
+)
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 from conftest import V1_LAYERS, write_v1_model
 
@@ -75,6 +79,75 @@ def test_floor_and_ceiling_frames_differ():
     p_floor = cd.predict_batch(model, np.full(1024, -20.0).reshape(1, -1))
     p_zero = cd.predict_batch(model, np.zeros(1024).reshape(1, -1))
     assert not np.array_equal(p_floor, p_zero)
+
+
+def test_zero_frames_give_zero_rows():
+    probs = cd.predict_batch(cd.build_model(0), np.empty((0, 1024)))
+    assert probs.shape == (0, 3)
+    assert probs.dtype == np.float32
+
+
+# 1e39 is finite in float64 but overflows the model's float32
+@pytest.mark.parametrize("dtype, bad", [(np.float32, np.nan), (np.float32, np.inf),
+                                        (np.float32, -np.inf), (np.float64, 1e39)])
+def test_non_finite_line_rejected(dtype, bad, real_frames):
+    x = np.stack(real_frames).astype(dtype)
+    x[4, 100] = x[5, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSamples, match="frame 4 "):
+            cd.predict_batch(cd.build_model(0), x)
+
+
+def whole_batch(model, x):
+    """Every frame through each layer before the next: the path of
+    training, which records contexts."""
+    return _forward_batch(model, x, [{} for _ in model.layers])
+
+
+BLOCK_EDGES = [1, _INFER_BLOCK - 1, _INFER_BLOCK, _INFER_BLOCK + 1, 3 * _INFER_BLOCK + 5]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_blocked_inference_equals_the_whole_batch(n, small_dataset, trained_small_model):
+    x = small_dataset.records["lines"][:n]
+    assert np.array_equal(cd.predict_batch(trained_small_model, x),
+                          whole_batch(trained_small_model, x))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_blocked_inference_equals_the_whole_batch_at_512_lines(n, small_corpus):
+    config = cd.SpectralConfig(n_lines=512)
+    model = cd.build_model(3, config)
+    x = np.stack([f.lines for it in small_corpus[:6] for f in cd.extract_frames(it.signal, config)])
+    assert len(x) >= n
+    assert np.array_equal(cd.predict_batch(model, x[:n]), whole_batch(model, x[:n]))
+
+
+def test_eval_arrays_scores_whole_batch_chunks_of_512(small_dataset, trained_small_model):
+    model = trained_small_model
+    x = np.tile(small_dataset.records["lines"], (4, 1))[:700]
+    y = np.tile(small_dataset.records["label"].astype(np.int64), 4)[:700]
+    loss, correct = 0.0, 0
+    for lo in (0, 512):
+        chunk_loss, chunk_correct = _cross_entropy(whole_batch(model, x[lo : lo + 512]),
+                                                   y[lo : lo + 512])
+        loss += chunk_loss
+        correct += chunk_correct
+    assert _eval_arrays(model, x, y) == (loss / 700, correct / 700)
+
+
+def test_inference_memory_stays_bounded():
+    # the whole batch through each conv layer would peak at ≈127 MiB here
+    model = cd.build_model(0)
+    x = np.random.default_rng(0).uniform(-20, 0, (1024, 1024)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        cd.predict_batch(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_loss_values():
