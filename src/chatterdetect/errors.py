@@ -2,8 +2,8 @@
 
 Everything raised on purpose derives from ChatterError, so callers (and
 the CLI) can tell pipeline failures apart from plain bugs. Every artifact
-is read and written through the helpers below `IoFailure`, which turn an
-OSError into an IoFailure naming the file.
+is read, written and removed through the helpers below `IoFailure`, which
+turn an OSError into an IoFailure naming the file.
 """
 
 from pathlib import Path
@@ -67,6 +67,14 @@ def write_bytes(path, *parts) -> None:
 def write_lines(path, lines) -> None:
     """Write `lines` to `path` as UTF-8, each ended by a newline."""
     write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def remove_file(path) -> None:
+    """Delete the file at `path` if there is one."""
+    try:
+        Path(path).unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot remove {path}: {exc}") from exc
 
 
 def make_dir(path) -> Path:

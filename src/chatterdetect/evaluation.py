@@ -18,6 +18,7 @@ from .errors import (
     LengthMismatch,
     UnknownLabel,
     make_dir,
+    remove_file,
     write_lines,
 )
 from .signal_io import CLASS_ORDER, MachiningClass
@@ -170,7 +171,9 @@ def _fmt(x: float) -> str:
 
 
 def emit_report(report: EvaluationReport, out_dir) -> None:
-    """Write confusion.csv, metrics.csv and roc_<class>.csv into out_dir."""
+    """Write confusion.csv, metrics.csv and roc_<class>.csv into out_dir.
+    A class without a curve gets no ROC file, and one an earlier report
+    left there is removed."""
     out = make_dir(out_dir)
     names = [cls.token for cls in CLASS_ORDER]
     lines = ["," + ",".join(names)]
@@ -189,8 +192,10 @@ def emit_report(report: EvaluationReport, out_dir) -> None:
     write_lines(out / "metrics.csv", lines)
 
     for cls, curve in report.roc_curves.items():
+        path = out / f"roc_{cls.token}.csv"
         if curve is None:
+            remove_file(path)
             continue
         lines = [f"# auc={_fmt(curve.auc)}", "fpr,tpr"]
         lines.extend(f"{_fmt(f)},{_fmt(t)}" for f, t in zip(curve.fpr, curve.tpr))
-        write_lines(out / f"roc_{cls.token}.csv", lines)
+        write_lines(path, lines)

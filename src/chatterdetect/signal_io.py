@@ -149,10 +149,11 @@ def load_wav(path) -> TimeSignal:
 
     fmt = data = None
     pos = 12
+    chunks = memoryview(buf)  # slices of it are views, not copies of the samples
     while pos + 8 <= len(buf):
         chunk_id = buf[pos : pos + 4]
         (size,) = struct.unpack_from("<I", buf, pos + 4)
-        body = buf[pos + 8 : pos + 8 + size]
+        body = chunks[pos + 8 : pos + 8 + size]
         if len(body) < size:
             raise MalformedContainer(f"truncated {chunk_id!r} chunk in {path}")
         if chunk_id == b"fmt ":
@@ -199,12 +200,16 @@ def load_wav(path) -> TimeSignal:
 def save_wav(signal: TimeSignal, path) -> None:
     """Write a TimeSignal as mono 16-bit PCM. Samples must lie in [-1, 1]."""
     x = np.asarray(signal.samples, dtype=np.float64)
-    peak = float(np.max(np.abs(x)))
+    # unlike abs(x).max(), this needs no array as large as the signal
+    peak = float(max(x.max(), -x.min()))
     if peak > 1.0:
         raise AmplitudeOutOfRange(f"peak sample magnitude {peak:.6g} exceeds 1.0")
 
-    # Quantize so that load_wav(save_wav(x)) is within 1/32768 per sample.
-    q = np.clip(np.rint(x * PCM16_SCALE), -PCM16_SCALE, PCM16_SCALE - 1).astype("<i2")
+    # Quantize so that load_wav(save_wav(x)) is within 1/32768 per sample,
+    # in place in one float64 temporary.
+    q = x * PCM16_SCALE
+    np.rint(q, out=q)
+    q = np.clip(q, -PCM16_SCALE, PCM16_SCALE - 1, out=q).astype("<i2")
     rate = int(round(signal.sample_rate_hz))
     header = b"RIFF" + struct.pack("<I", 36 + q.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, 1, rate, rate * 2, 2, 16)

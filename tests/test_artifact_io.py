@@ -1,9 +1,10 @@
-"""Every artifact reader and writer turns an OS-level failure into an
-IoFailure whose message names the exact file or directory at fault.
+"""Every artifact reader, writer and remover turns an OS-level failure
+into an IoFailure whose message names the exact file or directory at
+fault.
 
 The failures are ones that root cannot bypass either: a write whose
-parent is a regular file, a write onto a directory, and a read of a file
-that is missing or is a directory.
+parent is a regular file, a write onto a directory, a read of a file
+that is missing or is a directory, and the removal of a directory.
 """
 
 from argparse import Namespace
@@ -106,6 +107,12 @@ def _corpus_manifest_a_directory(tmp, a):
     return lambda: cd.read_corpus(tmp / "c"), "read", tmp / "c" / MANIFEST_NAME
 
 
+def _stale_roc_a_directory(tmp, a):
+    (tmp / "out" / "roc_rotation.csv").mkdir(parents=True)
+    report = cd.build_report(np.eye(3)[:2], [0, 1])  # no rotation curve
+    return lambda: cd.emit_report(report, tmp / "out"), "remove", tmp / "out" / "roc_rotation.csv"
+
+
 def _missing(read, name=None):
     def case(tmp, a):
         path = tmp / "missing"
@@ -122,6 +129,7 @@ CASES = {
     "load_labels-missing": _missing(cd.load_labels),
     "read_corpus-manifest-a-directory": _corpus_manifest_a_directory,
     "read_corpus-wav-missing": _corpus_without_wav,
+    "emit_report-stale-roc-a-directory": _stale_roc_a_directory,
 }
 for name, (write, first_file) in DIR_WRITERS.items():
     CASES.update(_dir_writer_cases(name, write, first_file))

@@ -233,6 +233,16 @@ def test_emit_report_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_emit_report_removes_stale_roc_files(tmp_path):
+    probs = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
+    cd.emit_report(cd.build_report(probs, [0, 1, 2]), tmp_path)
+    assert len(list(tmp_path.glob("roc_*.csv"))) == 3
+    # one class only: every class is one-sided, so no curve at all
+    cd.emit_report(cd.build_report(probs, [0, 0, 0]), tmp_path)
+    assert list(tmp_path.glob("roc_*.csv")) == []
+    assert (tmp_path / "confusion.csv").read_text().splitlines()[1] == "chatter,1,1,1"
+
+
 def test_report_skips_degenerate_roc():
     labels = [0, 0, 1]  # rotation absent
     probs = np.array([[0.8, 0.1, 0.1], [0.6, 0.3, 0.1], [0.2, 0.7, 0.1]])

@@ -9,8 +9,33 @@ import pytest
 
 import chatterdetect as cd
 from chatterdetect.model import (
-    _RMSPROP_BLOCK, Dense, MaxPool1D, _rmsprop_scratch, _rmsprop_step,
+    _RMSPROP_BLOCK, Conv1D, Dense, MaxPool1D, _rmsprop_scratch, _rmsprop_step,
 )
+
+
+def conv_forward_reference(x, w, b, k):
+    """im2col through a strided window view, one GEMM, then the bias
+    broadcast per position."""
+    batch, length, c_in = x.shape
+    patches = np.lib.stride_tricks.sliding_window_view(x, k, axis=1)
+    patches = patches.reshape(batch, length - k + 1, c_in * k)
+    y = patches @ w
+    y += b
+    return y, patches
+
+
+def conv_backward_reference(dy, patches, w, x_shape, k):
+    """(dw, db, dx): the weight GEMM over all positions, the bias sum, and
+    col2im of the patch gradients, tap by tap."""
+    batch, l_out, c_out = dy.shape
+    c_in = x_shape[2]
+    dw = patches.reshape(-1, c_in * k).T @ dy.reshape(-1, c_out)
+    db = dy.sum(axis=(0, 1))
+    dpatches = (dy @ w.T).reshape(batch, l_out, c_in, k)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    for kk in range(k):
+        dx[:, kk : kk + l_out, :] += dpatches[:, :, :, kk]
+    return dw, db, dx
 
 
 def pool_forward_reference(x, width):
@@ -60,6 +85,41 @@ def test_maxpool_matches_argmax_reference(batch, length, channels):
         dx = pool.backward(dy, ctx)
         assert dx.shape == x.shape
         assert np.array_equal(dx, pool_backward_reference(dy, ref_argmax, x.shape, 4))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 2, 16, 17])
+@pytest.mark.parametrize(
+    "length,c_in,c_out,k", [(1024, 1, 16, 7), (253, 16, 32, 5)], ids=["conv1", "conv2"]
+)
+def test_conv_matches_im2col_reference(length, c_in, c_out, k, batch, dtype):
+    rng = np.random.default_rng(length * 100 + batch)
+    layer = Conv1D(c_in, c_out, k)
+    layer.w = rng.uniform(-0.5, 0.5, (c_in * k, c_out)).astype(dtype)
+    layer.b = rng.uniform(-0.1, 0.1, c_out).astype(dtype)
+    x = rng.standard_normal((batch, length, c_in)).astype(dtype)
+    ref_y, ref_patches = conv_forward_reference(x, layer.w, layer.b, k)
+    assert np.array_equal(layer.forward(x), ref_y)
+
+    dw = np.full(layer.w.shape, np.nan, dtype=dtype)
+    db = np.full(c_out, np.nan, dtype=dtype)
+    ctx = {"dw": dw, "db": db}
+    y = layer.forward(x, ctx)
+    assert y.dtype == dtype
+    assert np.array_equal(y, ref_y)
+    dy = rng.standard_normal(y.shape).astype(dtype)
+    dx = layer.backward(dy, ctx)
+    ref_dw, ref_db, ref_dx = conv_backward_reference(dy, ref_patches, layer.w, x.shape, k)
+    # gradients land in the buffers the context supplied
+    assert ctx["dw"] is dw and ctx["db"] is db
+    assert np.array_equal(dw, ref_dw)
+    assert np.array_equal(db, ref_db)
+    assert np.array_equal(dx, ref_dx)
+
+    ctx = {"skip_dx": True}
+    layer.forward(x, ctx)
+    assert layer.backward(dy, ctx) is None
+    assert np.array_equal(ctx["dw"], ref_dw)
 
 
 @pytest.mark.parametrize("n_in,n_out", [(1984, 128), (128, 64), (64, 3)])

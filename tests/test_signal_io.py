@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,22 @@ def test_save_wav_zeros_writes_zero_frames(tmp_path):
     cd.save_wav(cd.TimeSignal(np.zeros(64), 22050.0), path)
     blob = path.read_bytes()
     assert blob[-128:] == bytes(128)  # 64 zero-valued 16-bit frames
+
+
+def test_save_wav_memory_stays_near_one_float_copy(tmp_path):
+    # quantizing needs one float64 copy (8 bytes per sample) and the PCM16
+    # output (2); a second float64 temporary would make it 16 or more
+    n = 1 << 21
+    sig = cd.TimeSignal(np.random.default_rng(0).uniform(-1.0, 1.0, n), 22050.0)
+    path = tmp_path / "long.wav"
+    tracemalloc.start()
+    try:
+        cd.save_wav(sig, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * n
+    assert np.max(np.abs(cd.load_wav(path).samples - sig.samples)) <= 1.0 / 32768
 
 
 def test_save_wav_amplitude_out_of_range(tmp_path):
