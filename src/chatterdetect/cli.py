@@ -248,9 +248,6 @@ def cmd_train(args) -> int:
     train(model, ds, hp)
     save_model(model, args.out)
     save_training_log(model.training_log, str(args.out) + ".log.csv")
-    if model.training_log:
-        best = max(model.training_log, key=lambda s: s.val_acc)
-        log.info("best val accuracy %.4f at epoch %d", best.val_acc, best.epoch)
     return 0
 
 

@@ -120,12 +120,11 @@ def stratified_split(
     ambiguous: np.ndarray,
     split_seed: int,
     test_fraction: float,
-    val_fraction: float = defaults.VAL_FRACTION,
 ) -> np.ndarray:
     """Assign splits per class: ambiguous samples all go to the held-out
     ambiguous test split; the rest are shuffled per class, floor(test_fraction)
-    go to Test, then floor(val_fraction) of the remainder to Val, remainder
-    to Train."""
+    go to Test, then floor(defaults.VAL_FRACTION) of the remainder to Val,
+    remainder to Train."""
     if not 0 <= test_fraction < 1:
         raise ValueError("test_fraction must lie in [0, 1)")
     labels = np.asarray(labels)
@@ -136,7 +135,7 @@ def stratified_split(
         idx = np.flatnonzero((labels == int(cls)) & ~ambiguous)
         idx = idx[rng.permutation(idx.size)]
         n_test = int(np.floor(test_fraction * idx.size))
-        n_val = int(np.floor(val_fraction * (idx.size - n_test)))
+        n_val = int(np.floor(defaults.VAL_FRACTION * (idx.size - n_test)))
         out[idx[:n_test]] = int(Split.TEST)
         out[idx[n_test : n_test + n_val]] = int(Split.VAL)
         out[idx[n_test + n_val :]] = int(Split.TRAIN)

@@ -20,7 +20,8 @@ class MalformedContainer(ChatterError):
 
 
 class UnsupportedEncoding(ChatterError):
-    """WAV encoding other than 16-bit PCM or 32-bit IEEE float."""
+    """WAV encoding other than 16-bit PCM or 32-bit IEEE float, or a sample
+    rate too high for `save_wav`'s 16-bit PCM header."""
 
 
 class SampleRateTooLow(ChatterError):

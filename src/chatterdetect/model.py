@@ -506,11 +506,15 @@ def check_config(model: ClassifierModel, config: SpectralConfig) -> None:
         raise FeatureMismatch("frames do not fit the model: " + ", ".join(wrong))
 
 
-def _eval_arrays(model, x, y, batch=512):
+# Validation scores the frames in chunks of this many.
+_EVAL_BATCH = 512
+
+
+def _eval_arrays(model, x, y):
     total_loss, correct = 0.0, 0
-    for start in range(0, len(y), batch):
-        probs = _inference(model, x[start : start + batch])
-        batch_loss, batch_correct = _cross_entropy(probs, y[start : start + batch])
+    for start in range(0, len(y), _EVAL_BATCH):
+        probs = _inference(model, x[start : start + _EVAL_BATCH])
+        batch_loss, batch_correct = _cross_entropy(probs, y[start : start + _EVAL_BATCH])
         total_loss += batch_loss
         correct += batch_correct
     return total_loss / len(y), correct / len(y)
@@ -520,7 +524,7 @@ def train(
     model: ClassifierModel, ds: LabeledDataset, hp: Hyperparameters = Hyperparameters()
 ) -> ClassifierModel:
     """RMSprop training; returns the model carrying the weights of the epoch
-    with the best validation accuracy (earliest on ties)."""
+    with the best validation accuracy (earliest on ties), which it logs."""
     check_config(model, ds.config)
     x_train, y_train = ds.split_arrays(Split.TRAIN)
     x_val, y_val = ds.split_arrays(Split.VAL)
@@ -549,7 +553,7 @@ def train(
     ctxs[0]["skip_dx"] = True
 
     shuffle_rng = np.random.default_rng(hp.rng_seed)
-    best_acc, best_params = -1.0, None
+    best_acc, best_epoch, best_params = -1.0, 0, None
     n = len(y_train)
     for epoch in range(1, hp.epochs + 1):
         started = time.perf_counter()
@@ -578,11 +582,12 @@ def train(
                  "%.0f frames/s", epoch, hp.epochs, epoch_loss / n, epoch_correct / n,
                  val_loss, val_acc, seconds, n / seconds)
         if val_acc > best_acc:
-            best_acc = val_acc
+            best_acc, best_epoch = val_acc, epoch
             best_params = flat.copy()
 
     if best_params is not None:
         flat[...] = best_params
+        log.info("kept epoch %d: val acc %.4f", best_epoch, best_acc)
     return model
 
 
@@ -720,20 +725,6 @@ MODEL_MAGIC = b"CHMD"
 MODEL_VERSION = 2
 # magic, version, classes, seed, the SpectralConfig fields in order, dropout rate
 _HEADER = struct.Struct("<4sIIqddIddd")
-# version 1, read only: magic, version, lines, classes, seed, input floor
-# (-crop_db) and layer count, then a table of the network's layers, each a
-# code byte and its sizes; the dropout rate is the f32 at byte 82
-_V1_HEADER = struct.Struct("<4sIIIqfI")
-_V1_TABLE = struct.Struct("<BIII B BI BIII B BI B BII B Bf BII B BII")
-_V1_RATE_AT = 82
-
-
-def _v1_table(n_lines: int, rate: float) -> bytes:
-    """The layer table of a version 1 file of the network; ValueError where
-    `_network` raises one."""
-    dense_in = _network(n_lines, rate)[_CONV_STAGE].n_in
-    return _V1_TABLE.pack(1, 1, 16, 7, 2, 3, 4, 1, 16, 32, 5, 2, 3, 4, 4,
-                          5, dense_in, 128, 2, 6, rate, 5, 128, 64, 2, 5, 64, 3)
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -744,23 +735,16 @@ def save_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
-    """Reads a version 2 or version 1 model file. It must hold the network
-    `build_model` makes for a valid spectral config, with any dropout rate
-    in [0, 1)."""
+    """Reads a version 2 model file. It must hold the network `build_model`
+    makes for a valid spectral config, with any dropout rate in [0, 1)."""
     blob = read_bytes(path)
     try:
         magic, version = struct.unpack_from("<4sI", blob)
         if magic != MODEL_MAGIC:
             raise CorruptModel(f"bad magic {magic!r}")
-        if version == MODEL_VERSION:
-            _, _, n_classes, seed, *fields, rate = _HEADER.unpack_from(blob)
-            pos = _HEADER.size
-        elif version == 1:
-            _, _, n_lines, n_classes, seed, floor, n_layers = _V1_HEADER.unpack_from(blob)
-            (rate,) = struct.unpack_from("<f", blob, _V1_RATE_AT)
-            pos = _V1_HEADER.size + _V1_TABLE.size
-        else:
+        if version != MODEL_VERSION:
             raise CorruptModel(f"unsupported version {version}")
+        _, _, n_classes, seed, *fields, rate = _HEADER.unpack_from(blob)
     except struct.error as exc:
         raise CorruptModel(f"truncated model file: {exc}") from exc
     if seed < 0:
@@ -770,16 +754,11 @@ def load_model(path) -> ClassifierModel:
 
     # require the network before allocating: its sizes bound the weights
     try:
-        if version == MODEL_VERSION:
-            config = SpectralConfig(*fields)
-        else:
-            config = SpectralConfig(n_lines=n_lines, crop_db=-floor)
-            if (n_layers, blob[_V1_HEADER.size : pos]) != (13, _v1_table(n_lines, rate)):
-                raise CorruptModel("the layers are not the classifier network")
+        config = SpectralConfig(*fields)
         layers = _network(config.n_lines, rate)
     except ValueError as exc:
         raise CorruptModel(str(exc)) from None
-    n_weights = _parameter_total(layers)
+    pos, n_weights = _HEADER.size, _parameter_total(layers)
     if pos + 4 * n_weights > len(blob):
         raise CorruptModel("model file ends before all weights are read")
     if pos + 4 * n_weights != len(blob):

@@ -198,7 +198,13 @@ def load_wav(path) -> TimeSignal:
 
 
 def save_wav(signal: TimeSignal, path) -> None:
-    """Write a TimeSignal as mono 16-bit PCM. Samples must lie in [-1, 1]."""
+    """Write a TimeSignal as mono 16-bit PCM. Samples must lie in [-1, 1],
+    and the rate must fit the header: 2 bytes a sample, as a u32 byte rate."""
+    rate = int(round(signal.sample_rate_hz))
+    if rate * 2 > 0xFFFFFFFF:
+        raise UnsupportedEncoding(
+            f"sample rate {rate} Hz exceeds 16-bit PCM's {0xFFFFFFFF // 2} Hz maximum"
+        )
     x = np.asarray(signal.samples, dtype=np.float64)
     # unlike abs(x).max(), this needs no array as large as the signal
     peak = float(max(x.max(), -x.min()))
@@ -210,7 +216,6 @@ def save_wav(signal: TimeSignal, path) -> None:
     q = x * PCM16_SCALE
     np.rint(q, out=q)
     q = np.clip(q, -PCM16_SCALE, PCM16_SCALE - 1, out=q).astype("<i2")
-    rate = int(round(signal.sample_rate_hz))
     header = b"RIFF" + struct.pack("<I", 36 + q.nbytes) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, _WAVE_FORMAT_PCM, 1, rate, rate * 2, 2, 16)
     header += b"data" + struct.pack("<I", q.nbytes)

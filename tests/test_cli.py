@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +50,7 @@ def dir_snapshot(root):
     for base, _, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            out[os.path.relpath(path, root)] = Path(path).read_bytes()
     return out
 
 

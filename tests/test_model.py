@@ -22,7 +22,6 @@ from chatterdetect.model import (
     _INFER_BLOCK, MODEL_VERSION, _cross_entropy, _eval_arrays, _forward_batch,
 )
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
-from conftest import V1_LAYERS, write_v1_model
 
 
 def architecture_parameter_oracle():
@@ -314,13 +313,32 @@ def test_train_logs_one_info_line_per_epoch(small_dataset, caplog, capsys):
         model = cd.build_model(3)
         cd.train(model, small_dataset, cd.Hyperparameters(epochs=3, rng_seed=3))
     records = [r for r in caplog.records if r.name == "chatterdetect.model"]
-    assert [r.levelno for r in records] == [logging.INFO] * 3
+    assert [r.levelno for r in records] == [logging.INFO] * 4
     for stats, record in zip(model.training_log, records):
         line = record.getMessage()
         assert line.startswith(f"epoch {stats.epoch}/3: train loss {stats.train_loss:.4f}")
         assert f"val loss {stats.val_loss:.4f} acc {stats.val_acc:.4f}" in line
         assert line.endswith(" frames/s")
+    # then the kept epoch: the earliest with the best val accuracy
+    accs = [s.val_acc for s in model.training_log]
+    kept = accs.index(max(accs)) + 1
+    assert records[-1].getMessage() == f"kept epoch {kept}: val acc {max(accs):.4f}"
     assert capsys.readouterr().out == ""
+
+
+def test_train_keeps_the_earliest_of_tied_epochs(small_dataset, caplog):
+    # at learning rate 0 every epoch has the same val accuracy
+    with caplog.at_level(logging.INFO, logger="chatterdetect.model"):
+        model = cd.build_model(3)
+        cd.train(model, small_dataset, cd.Hyperparameters(epochs=3, learning_rate=0.0))
+        acc = model.training_log[0].val_acc
+        assert [s.val_acc for s in model.training_log] == [acc] * 3
+        messages = [r.getMessage() for r in caplog.records if r.name == "chatterdetect.model"]
+        assert messages[-1] == f"kept epoch 1: val acc {acc:.4f}"
+        # and no epoch, nothing kept: no line at all
+        caplog.clear()
+        cd.train(cd.build_model(3), small_dataset, cd.Hyperparameters(epochs=0))
+    assert [r for r in caplog.records if r.name == "chatterdetect.model"] == []
 
 
 def test_loss_decreases_on_noiseless_set():
@@ -381,14 +399,15 @@ def test_model_round_trip(tmp_path, trained_small_model):
     )
 
 
-def test_model_version_bump_rejected(tmp_path):
+@pytest.mark.parametrize("version", [0, 1, 3])
+def test_model_version_bump_rejected(tmp_path, version):
     path = tmp_path / "m.chmd"
     cd.save_model(cd.build_model(0), path)
     blob = bytearray(path.read_bytes())
     assert blob[4] == MODEL_VERSION == 2
-    blob[4] = 3
+    blob[4] = version
     path.write_bytes(bytes(blob))
-    with pytest.raises(CorruptModel):
+    with pytest.raises(CorruptModel, match=f"unsupported version {version}"):
         cd.load_model(path)
 
 
@@ -422,21 +441,6 @@ def test_model_file_keeps_the_config_and_dropout_at_full_precision(tmp_path):
     assert np.array_equal(back.flat, model.flat)
 
 
-def test_version_1_file_loads_with_the_default_config(tmp_path, trained_small_model):
-    write_v1_model(tmp_path / "v1.chmd", trained_small_model.flat, seed=7)
-    back = cd.load_model(tmp_path / "v1.chmd")
-    assert back.config == cd.SpectralConfig() and back.seed == 7
-    frames = np.random.default_rng(15).uniform(-20, 0, (50, 1024)).astype(np.float32)
-    assert np.array_equal(
-        cd.predict_batch(back, frames), cd.predict_batch(trained_small_model, frames)
-    )
-    # saved again, it is a version 2 file with the same weight bytes
-    cd.save_model(back, tmp_path / "v2.chmd")
-    blob = (tmp_path / "v2.chmd").read_bytes()
-    assert struct.unpack_from("<4sI", blob) == (b"CHMD", 2)
-    assert blob[64:] == (tmp_path / "v1.chmd").read_bytes()[105:]
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_weight_rejected(tmp_path, bad):
     model = cd.build_model(0)
@@ -444,19 +448,6 @@ def test_non_finite_weight_rejected(tmp_path, bad):
     cd.save_model(model, tmp_path / "m.chmd")
     with pytest.raises(CorruptModel):
         cd.load_model(tmp_path / "m.chmd")
-
-
-HUGE_DENSE = ("<BII", 5, 2**31, 2**31)
-FLATTEN = ("<B", 4)
-
-
-def _v1(edits=(), **header):
-    """A version 1 file: `V1_LAYERS` with each (index, layer) of `edits`
-    put in, all the weights that table holds, and `header` values."""
-    layers = list(V1_LAYERS)
-    for i, layer in edits:
-        layers[i] = layer
-    return lambda path: write_v1_model(path, layers=layers, **header)
 
 
 def _v2(offset, fmt, value):
@@ -471,30 +462,14 @@ def _v2(offset, fmt, value):
 
 
 FORGED = {
-    # version 1. A consistent chain whose 2**64 bytes of weights dwarf the file
-    "huge-chained": lambda p: write_v1_model(p, np.zeros(16), layers=[FLATTEN, HUGE_DENSE],
-                                             n_lines=2**31, n_classes=2**31),
-    # the same layer where the chain does not fit
-    "huge-unchained": lambda p: write_v1_model(p, np.zeros(16), layers=[FLATTEN, HUGE_DENSE]),
-    # a zero-width pooling window
-    "zero-pool": lambda p: write_v1_model(p, np.zeros(16), layers=[("<BI", 3, 0)]),
-    # the rest are complete files: only the forged value is wrong
-    "narrow-convs": _v1([(0, ("<BIII", 1, 1, 8, 7)), (3, ("<BIII", 1, 8, 8, 5)),
-                         (7, ("<BII", 5, 62 * 8, 128))]),
-    "floor-nan": _v1(floor=math.nan),
-    "floor-0": _v1(floor=0.0),
-    "floor+20": _v1(floor=20.0),
-    "floor-inf": _v1(floor=-math.inf),
-    "classes-4": _v1([(12, ("<BII", 5, 64, 4))], n_classes=4),
-    "dropout-1": _v1([(9, ("<Bf", 6, 1.0))]),
-    # what the network's arithmetic gives for 22 lines
-    "inputs-22": _v1([(7, ("<BII", 5, 0, 128))], n_lines=22),
-    # version 2: seed at byte 12, the config's fields at 20, 28, 36 (lines),
-    # 40 and 48 (crop), the dropout rate at 56
+    # seed at byte 12, the config's fields at 20, 28, 36 (lines), 40 and 48
+    # (crop), the dropout rate at 56
     "v2-lines-22": _v2(36, "<I", 22),
     "v2-lines-2**31": _v2(36, "<I", 2**31),
     "v2-crop-0": _v2(48, "<d", 0.0),
     "v2-crop-nan": _v2(48, "<d", math.nan),
+    "v2-crop-neg20": _v2(48, "<d", -20.0),
+    "v2-crop-inf": _v2(48, "<d", math.inf),
     "v2-window-nan": _v2(28, "<d", math.nan),
     "v2-dropout-1": _v2(56, "<d", 1.0),
     "v2-classes-4": _v2(8, "<I", 4),

@@ -170,6 +170,18 @@ def test_save_wav_amplitude_out_of_range(tmp_path):
         cd.save_wav(sig, tmp_path / "loud.wav")
 
 
+def test_save_wav_rate_beyond_the_header_is_unsupported(tmp_path):
+    # the u32 byte rate holds 2 bytes a sample up to 2**31 - 1 Hz
+    path = tmp_path / "fast.wav"
+    with pytest.raises(UnsupportedEncoding, match="sample rate 5000000000 Hz"):
+        cd.save_wav(cd.TimeSignal(np.full(100, 0.1), 5e9), path)
+    with pytest.raises(UnsupportedEncoding, match="sample rate 2147483648 Hz"):
+        cd.save_wav(cd.TimeSignal(np.full(100, 0.1), 2.0**31), path)
+    assert not path.exists()
+    cd.save_wav(cd.TimeSignal(np.full(100, 0.1), 2**31 - 1), path)
+    assert cd.load_wav(path).sample_rate_hz == 2**31 - 1
+
+
 def test_load_labels_single_interval(tmp_path):
     path = tmp_path / "l.csv"
     path.write_text("0.0,2.0,chatter\n")
