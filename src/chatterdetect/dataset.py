@@ -1,11 +1,12 @@
 """Labeled frame datasets: build, split, persist.
 
-A dataset is an array of fixed-size frame records (``record_dtype``), the
-source ids they index and a manifest of key=value provenance records. Its
-directory holds a UTF-8 ``manifest`` (the source ids on its
-``frames.sources`` line) and ``frames.bin``: a 16-byte header (magic
-``CHDS``) and then the records' bytes, exactly n_samples * (4 * n_lines +
-20) of them.
+A dataset is an array of fixed-size frame records (``record_dtype``) and
+a manifest of key=value provenance records. The manifest's
+``source.<i>.id``, ``.ambiguous`` and ``.spec`` entries describe input i,
+and a record's ``source`` field is that i. Its directory holds a UTF-8
+``manifest`` and ``frames.bin``: a 16-byte header (magic ``CHDS``,
+version 2) and then the records' bytes, exactly n_samples * (4 * n_lines
++ 20) of them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .signal_io import CLASS_ORDER, MachiningClass
 from .spectral import SpectralConfig, extract_frames, frame_counts, frame_lines_valid
 
 MAGIC = b"CHDS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_FILE = "manifest"
 FRAMES_FILE = "frames.bin"
 
@@ -55,13 +56,12 @@ def record_dtype(n_lines: int) -> np.dtype:
     bookkeeping, then the renormalized lines as float32."""
     return np.dtype(
         [
-            ("source", "<u4"),  # index into LabeledDataset.sources
+            ("source", "<u4"),  # i of the manifest's source.<i>.* entries
             ("frame_index", "<u4"),
             ("t_start", "<f8"),
             ("label", "u1"),  # MachiningClass
-            ("split", "u1"),  # Split
-            ("ambiguous", "u1"),
-            ("pad", "u1"),
+            ("split", "u1"),  # Split; TEST2_AMBIGUOUS iff the source is ambiguous
+            ("pad", "u1", (2,)),
             ("lines", "<f4", (n_lines,)),
         ]
     )
@@ -69,12 +69,12 @@ def record_dtype(n_lines: int) -> np.dtype:
 
 @dataclass(eq=False)
 class LabeledDataset:
-    """Frame records (``record_dtype``), the source ids their ``source``
-    field indexes in first-seen order, and the provenance manifest. The
-    records ``load_dataset`` returns are a read-only view of the file."""
+    """Frame records (``record_dtype``) and the provenance manifest, whose
+    ``source.<i>.*`` entries describe the recording of every record whose
+    ``source`` is i. The records ``load_dataset`` returns are a read-only
+    view of the file."""
 
     records: np.ndarray
-    sources: list[str]
     manifest: dict[str, str]
 
     @property
@@ -100,8 +100,7 @@ class LabeledDataset:
         if not isinstance(other, LabeledDataset):
             return NotImplemented
         return (
-            self.sources == other.sources
-            and self.manifest == other.manifest
+            self.manifest == other.manifest
             and self.records.dtype == other.records.dtype
             and np.array_equal(self.records, other.records)
         )
@@ -166,33 +165,30 @@ def build_dataset(
     if len(source_ids) != len(pairs):
         raise ValueError("source_ids must parallel pairs")
     for source_id in source_ids:
-        # the manifest is read by str.splitlines and joins the ids with |
-        if "|" in source_id or "".join(source_id.splitlines()) != source_id:
-            raise BadSourceId(f"source id {source_id!r} holds | or a line break")
+        # the manifest is read by str.splitlines
+        if "".join(source_id.splitlines()) != source_id:
+            raise BadSourceId(f"source id {source_id!r} holds a line break")
 
     # room for every frame; the kept ones are packed to the front
     framing = [frame_counts(s.samples.size, s.sample_rate_hz, config) for s, _, _ in pairs]
     n_frames = sum(n for _, _, n in framing)
     records = np.zeros(n_frames, dtype=record_dtype(config.n_lines))
-    source_index: dict[str, int] = {}
     kept = 0
-    for (signal, track, ambiguous), source_id, (_, window_n, _) in zip(
-        pairs, source_ids, framing
-    ):
+    for source, ((signal, track, _), (_, window_n, _)) in enumerate(zip(pairs, framing)):
         window_s = window_n / signal.sample_rate_hz
         for frame in extract_frames(signal, config):
             label = track.label_for_span(frame.t_start_s, frame.t_start_s + window_s)
             if label is None:
                 continue
-            source = source_index.setdefault(source_id, len(source_index))
-            records[kept] = (source, frame.frame_index, frame.t_start_s, label, 0,
-                             bool(ambiguous), 0, frame.lines)
+            records[kept] = (source, frame.frame_index, frame.t_start_s, label, 0, 0,
+                             frame.lines)
             kept += 1
     if not kept:
         raise EmptyDataset("no frame fell inside a labeled interval")
     records = records[:kept]
+    ambiguous = np.array([bool(a) for _, _, a in pairs])
     records["split"] = stratified_split(
-        records["label"], records["ambiguous"], split_seed, test_fraction
+        records["label"], ambiguous[records["source"]], split_seed, test_fraction
     )
 
     # counts[split, class]; the unambiguous frames are the non-test2 splits
@@ -226,11 +222,11 @@ def build_dataset(
     manifest["n_sources"] = str(len(pairs))
     for i, source_id in enumerate(source_ids):
         manifest[f"source.{i}.id"] = source_id
-        manifest[f"source.{i}.ambiguous"] = "1" if pairs[i][2] else "0"
+        manifest[f"source.{i}.ambiguous"] = "1" if ambiguous[i] else "0"
         if source_specs is not None and source_specs[i]:
             manifest[f"source.{i}.spec"] = source_specs[i]
 
-    return LabeledDataset(records, list(source_index), manifest)
+    return LabeledDataset(records, manifest)
 
 
 def class_distribution(ds: LabeledDataset, split: Split) -> dict[MachiningClass, int]:
@@ -243,9 +239,7 @@ def save_dataset(ds: LabeledDataset, out_dir) -> None:
     out = make_dir(out_dir)
     header = struct.pack("<4sIII", MAGIC, FORMAT_VERSION, ds.n_lines, len(ds))
     write_bytes(out / FRAMES_FILE, header, np.ascontiguousarray(ds.records))
-    manifest_lines = [f"{k}={v}" for k, v in ds.manifest.items()]
-    manifest_lines.append(f"frames.sources={'|'.join(ds.sources)}")
-    write_lines(out / MANIFEST_FILE, manifest_lines)
+    write_lines(out / MANIFEST_FILE, [f"{k}={v}" for k, v in ds.manifest.items()])
 
 
 def load_dataset(in_dir) -> LabeledDataset:
@@ -261,7 +255,6 @@ def load_dataset(in_dir) -> LabeledDataset:
             raise CorruptDataset(f"bad manifest line {line!r}")
         key, value = line.split("=", 1)
         manifest[key] = value
-    sources = manifest.pop("frames.sources", "").split("|")
 
     if len(blob) < 16:
         raise CorruptDataset("frames.bin shorter than its header")
@@ -281,16 +274,20 @@ def load_dataset(in_dir) -> LabeledDataset:
         raise CorruptDataset(
             f"frames.bin is {len(blob)} bytes, expected exactly {expected}"
         )
-    ds = LabeledDataset(np.frombuffer(blob, dtype=dtype, offset=16), sources, manifest)
+    ds = LabeledDataset(np.frombuffer(blob, dtype=dtype, offset=16), manifest)
     records, config = ds.records, ds.config
     if config.n_lines != n_lines:
         raise CorruptDataset(f"manifest says {config.n_lines} lines, frames.bin {n_lines}")
+    try:
+        counted, n_sources = int(manifest["n_samples"]), int(manifest["n_sources"])
+    except (KeyError, ValueError):
+        raise CorruptDataset("manifest n_samples or n_sources missing or not an integer") from None
+    if counted != n_samples:
+        raise CorruptDataset(f"manifest says {counted} frames, frames.bin {n_samples}")
     if np.any(records["label"] > 2) or np.any(records["split"] > 3):
         raise CorruptDataset("label or split code out of range")
-    if np.any((records["ambiguous"] != 0) != (records["split"] == Split.TEST2_AMBIGUOUS)):
-        raise CorruptDataset("ambiguous flag inconsistent with split assignment")
     if not np.all(frame_lines_valid(records["lines"], config.crop_db)):
         raise CorruptDataset("frame violates the renormalization invariants")
-    if np.any(records["source"] >= len(sources)):
+    if np.any(records["source"] >= n_sources):
         raise CorruptDataset("source index out of range")
     return ds

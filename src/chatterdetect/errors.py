@@ -144,7 +144,7 @@ class MissingClass(ChatterError):
 
 
 class BadSourceId(ChatterError):
-    """Source id holds a separator of the dataset manifest: | or a line break."""
+    """Source id holds a line break, which would split its manifest line."""
 
 
 class CorruptDataset(ChatterError):

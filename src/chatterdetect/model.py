@@ -637,21 +637,6 @@ def _rmsprop_step(p, g, cache, scratch, hp: Hyperparameters) -> None:
         pb -= tmp
 
 
-def _activation_signature(model, x):
-    """Forward pass recording the ReLU masks and pool argmax choices.
-
-    Two evaluations with identical signatures lie on the same smooth piece
-    of the network, so a central difference between them is meaningful.
-    """
-    ctxs = [{} for _ in model.layers]
-    probs = _forward_batch(model, x, ctxs)
-    signature = []
-    for layer, ctx in zip(model.layers, ctxs):
-        if isinstance(layer, (ReLU, MaxPool1D)):
-            signature.append(ctx["mask"])
-    return probs, signature
-
-
 def gradient_check(
     model: ClassifierModel,
     lines,
@@ -687,10 +672,14 @@ def gradient_check(
     def probe(tensor, j, offset):
         original = tensor.flat[j]
         tensor.flat[j] = original + offset
+        ctxs = [{} for _ in m.layers]
+        p = _forward_batch(m, x, ctxs)
+        tensor.flat[j] = original
+        # the ReLU masks and pool argmax choices (dropout's is None here): two
+        # evaluations with equal ones lie on one smooth piece of the network
+        signature = [ctx["mask"] for ctx in ctxs if ctx.get("mask") is not None]
         # unclipped cross-entropy: matches the analytic gradient exactly and
         # stays finite in float64 (softmax output never underflows here)
-        p, signature = _activation_signature(m, x)
-        tensor.flat[j] = original
         return -np.log(float(p[0, y])), signature
 
     rng = np.random.default_rng(seed)

@@ -53,6 +53,8 @@ class SpectralConfig:
         for name in ("hop_s", "window_s", "f_max_hz", "crop_db"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        if isinstance(self.n_lines, bool) or not isinstance(self.n_lines, (int, np.integer)):
+            raise ValueError("n_lines must be an integer")
         if not self.n_lines >= 2:
             raise ValueError("n_lines must be at least 2")
 

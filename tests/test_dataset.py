@@ -124,8 +124,13 @@ def test_split_assignment_is_deterministic():
 def test_splits_partition_dataset(small_dataset):
     seen = sorted(i for s in Split for i in small_dataset.split_indices(s))
     assert seen == list(range(len(small_dataset)))
-    records = small_dataset.records
-    assert np.array_equal(records["ambiguous"] == 1, records["split"] == Split.TEST2_AMBIGUOUS)
+    # a frame is in the ambiguous split exactly when its recording is ambiguous
+    manifest, records = small_dataset.manifest, small_dataset.records
+    ambiguous = np.array([
+        manifest[f"source.{i}.ambiguous"] == "1" for i in range(int(manifest["n_sources"]))
+    ])
+    assert ambiguous.any() and not ambiguous.all()
+    assert np.array_equal(ambiguous[records["source"]], records["split"] == Split.TEST2_AMBIGUOUS)
 
 
 def test_save_load_round_trip(tmp_path, small_dataset):
@@ -134,13 +139,46 @@ def test_save_load_round_trip(tmp_path, small_dataset):
     assert back == small_dataset
 
 
-@pytest.mark.parametrize("bad_id", ["a|b", "a\nb", "a\r", "a\u2028b"])
+@pytest.mark.parametrize("bad_id", ["a\nb", "a\r", "a\u2028b"])
 def test_source_id_holding_a_manifest_separator_is_rejected(bad_id):
-    # the ids are joined with | on one manifest line
+    # the manifest is read line by line, by str.splitlines
     sig, track = one_chatter_signal()
     with pytest.raises(BadSourceId):
         cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
                          source_ids=[bad_id, "c"])
+
+
+def test_source_id_holding_a_bar_round_trips(tmp_path):
+    sig, track = one_chatter_signal()
+    ds = cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
+                          source_ids=["a|b", "|"])
+    cd.save_dataset(ds, tmp_path / "ds")
+    back = cd.load_dataset(tmp_path / "ds")
+    assert back == ds
+    assert (back.manifest["source.0.id"], back.manifest["source.1.id"]) == ("a|b", "|")
+
+
+def test_records_name_their_own_recording_when_a_source_keeps_no_frame():
+    # source 0's labels are too short to hold a 0.1 s frame
+    pairs, ids, specs = [], [], []
+    for i, seed in enumerate((3, 4, 5)):
+        sig, track = one_chatter_signal(seed=seed)
+        if i == 0:
+            track = LabelTrack((LabelInterval(0.0, 0.05, MachiningClass.CHATTER),))
+        pairs.append((sig, track, i == 2))
+        ids.append(f"chatter-{i:04d}")
+        specs.append(f'{{"seed": {seed}}}')
+    ds = cd.build_dataset(pairs, CFG, test_fraction=0.0, source_ids=ids, source_specs=specs)
+    assert ds.manifest["n_sources"] == "3"
+    assert sorted(set(ds.records["source"].tolist())) == [1, 2]
+    frames = [cd.extract_frames(sig, CFG) for sig, _, _ in pairs]
+    for rec in ds.records:
+        i = int(rec["source"])
+        # the frame is one of recording i's, and the manifest names that recording
+        assert np.array_equal(rec["lines"], frames[i][rec["frame_index"]].lines)
+        assert ds.manifest[f"source.{i}.id"] == ids[i]
+        assert ds.manifest[f"source.{i}.spec"] == specs[i]
+        assert (rec["split"] == Split.TEST2_AMBIGUOUS) == (i == 2)
 
 
 def test_frames_file_size_formula(tmp_path, small_dataset):
@@ -152,13 +190,13 @@ def test_frames_file_size_formula(tmp_path, small_dataset):
 def test_frames_file_layout(tmp_path, small_dataset):
     # the documented layout, packed field by field
     cd.save_dataset(small_dataset, tmp_path / "ds")
-    parts = [struct.pack("<4sIII", b"CHDS", 1, 1024, len(small_dataset))]
+    parts = [struct.pack("<4sIII", b"CHDS", 2, 1024, len(small_dataset))]
     for rec in small_dataset.records:
         parts.append(
             struct.pack(
-                "<IIdBBBx1024f",
+                "<IIdBBxx1024f",
                 rec["source"], rec["frame_index"], rec["t_start"],
-                rec["label"], rec["split"], rec["ambiguous"], *rec["lines"].tolist(),
+                rec["label"], rec["split"], *rec["lines"].tolist(),
             )
         )
     assert (tmp_path / "ds" / FRAMES_FILE).read_bytes() == b"".join(parts)
@@ -171,9 +209,8 @@ def test_large_dataset_size_is_exact(tmp_path):
     records["t_start"] = np.arange(10180) * 0.1
     records["label"] = MachiningClass.CHATTER
     records["split"] = Split.TEST2_AMBIGUOUS
-    records["ambiguous"] = 1
     records["lines"] = -20.0
-    ds = cd.LabeledDataset(records, ["x"], {"crop_db": "20.0"})
+    ds = cd.LabeledDataset(records, {"crop_db": "20.0", "n_samples": "10180", "n_sources": "1"})
     cd.save_dataset(ds, tmp_path / "big")
     size = (tmp_path / "big" / FRAMES_FILE).stat().st_size
     assert size == 16 + 10180 * (1024 * 4 + 20)
@@ -205,6 +242,37 @@ def test_bad_magic_and_version_are_rejected(tmp_path, small_dataset):
         cd.load_dataset(tmp_path / "ds")
 
 
+def test_version_1_frames_file_is_rejected(tmp_path, small_dataset):
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / FRAMES_FILE
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(CorruptDataset, match="unsupported version 1$"):
+        cd.load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("\nn_samples=", "\nn_samples=1"),
+        lambda text: text.replace("\nn_samples=", "\nn_samples=x"),
+        lambda text: text.replace("\nn_samples=", "\nsamples="),
+        lambda text: text.replace("\nn_sources=18\n", "\nn_sources=17\n"),
+        lambda text: text.replace("\nn_sources=", "\nsources="),
+    ],
+    ids=["n_samples-differs", "n_samples-not-int", "no-n_samples", "too-few-sources",
+         "no-n_sources"],
+)
+def test_manifest_counts_must_match_frames_file(tmp_path, small_dataset, edit):
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / MANIFEST_FILE
+    text = path.read_text()
+    assert edit(text) != text
+    path.write_text(edit(text))
+    with pytest.raises(CorruptDataset):
+        cd.load_dataset(tmp_path / "ds")
+
+
 @pytest.mark.parametrize("n_lines", ["512", "many"])
 def test_manifest_line_count_must_match_frames_file(tmp_path, small_dataset, n_lines):
     cd.save_dataset(small_dataset, tmp_path / "ds")
@@ -222,8 +290,8 @@ def _set_lines(values):
 
 def _set_field(field, value):
     def corrupt(records):
-        # on the first unambiguous frame, so that only the check named fires
-        records[field][np.argmin(records["ambiguous"])] = value
+        # on the first frame outside the ambiguous split
+        records[field][np.argmax(records["split"] != Split.TEST2_AMBIGUOUS)] = value
     return corrupt
 
 
@@ -237,11 +305,10 @@ def _set_field(field, value):
         _set_lines(-10.0),  # in range, not at the floor, peak below 0 dB
         _set_field("label", 3),
         _set_field("split", 4),
-        _set_field("ambiguous", 1),
         _set_field("source", 10**6),
     ],
     ids=["above-0db", "nan", "inf", "-inf", "peak-below-0db", "label-3", "split-4",
-         "ambiguous-mismatch", "source-out-of-range"],
+         "source-out-of-range"],
 )
 def test_corrupt_frame_values_are_rejected(tmp_path, small_dataset, corrupt):
     cd.save_dataset(small_dataset, tmp_path / "ds")

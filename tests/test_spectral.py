@@ -236,6 +236,9 @@ def test_export_pgm_column_heights(tmp_path):
         ("hop_s", np.nan),
         ("window_s", np.inf),
         ("n_lines", 1),
+        ("n_lines", 1024.0),
+        ("n_lines", True),
+        ("n_lines", "1024"),
         ("f_max_hz", 0.0),
         ("f_max_hz", np.inf),
         ("crop_db", 0.0),
@@ -245,3 +248,8 @@ def test_export_pgm_column_heights(tmp_path):
 def test_config_validation(field, value):
     with pytest.raises(ValueError):
         SpectralConfig(**{field: value})
+
+
+def test_config_n_lines_accepts_numpy_integers():
+    config = SpectralConfig(n_lines=np.int64(64))
+    assert cd.build_model(0, config).n_inputs == 64
