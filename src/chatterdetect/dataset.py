@@ -18,13 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import defaults
+from . import cpus, defaults
 from .errors import (
     BadSourceId, CorruptDataset, EmptyDataset, MissingClass,
     make_dir, read_bytes, read_text, write_bytes, write_lines,
 )
 from .signal_io import CLASS_ORDER, MachiningClass
-from .spectral import SpectralConfig, extract_frames, frame_counts, frame_lines_valid
+from .spectral import (
+    SpectralConfig, extract_frames, extract_scratch, frame_counts, frame_lines_valid,
+)
 
 MAGIC = b"CHDS"
 FORMAT_VERSION = 2
@@ -157,35 +159,57 @@ def build_dataset(
 
     A frame is kept only when its [t_start, t_start + window) span lies
     fully inside one labeled interval; straddling or unlabeled frames are
-    dropped and counted in the manifest.
+    dropped and counted in the manifest. source_ids and source_specs, if
+    given, parallel pairs; an id or spec holding a line break raises
+    BadSourceId.
+
+    The signals' frames are extracted by `cpus.deal`, on as many CPUs as
+    keep their scratch within its budget. Each signal writes its kept
+    frames into the rows that start at its first frame's; the runs are
+    then moved down in signal order, so the records are the same, bit for
+    bit, on any number of CPUs, and any error is the one a serial loop
+    would raise.
     """
     pairs = list(pairs)
     if source_ids is None:
         source_ids = [f"signal-{i:04d}" for i in range(len(pairs))]
-    if len(source_ids) != len(pairs):
-        raise ValueError("source_ids must parallel pairs")
-    for source_id in source_ids:
+    for name, texts in (("source_ids", source_ids), ("source_specs", source_specs)):
+        if texts is not None and len(texts) != len(pairs):
+            raise ValueError(f"{name} must parallel pairs")
+    for text in [*source_ids, *filter(None, source_specs or [])]:
         # the manifest is read by str.splitlines
-        if "".join(source_id.splitlines()) != source_id:
-            raise BadSourceId(f"source id {source_id!r} holds a line break")
+        if "".join(text.splitlines()) != text:
+            raise BadSourceId(f"source id or spec {text!r} holds a line break")
 
-    # room for every frame; the kept ones are packed to the front
+    # room for every frame; signal i's kept frames go from row first[i] on
     framing = [frame_counts(s.samples.size, s.sample_rate_hz, config) for s, _, _ in pairs]
-    n_frames = sum(n for _, _, n in framing)
-    records = np.zeros(n_frames, dtype=record_dtype(config.n_lines))
-    kept = 0
-    for source, ((signal, track, _), (_, window_n, _)) in enumerate(zip(pairs, framing)):
-        window_s = window_n / signal.sample_rate_hz
+    first = np.cumsum([0] + [n for _, _, n in framing]).tolist()
+    records = np.zeros(first[-1], dtype=record_dtype(config.n_lines))
+    kept = [0] * len(pairs)
+
+    def extract(source):
+        signal, track, _ = pairs[source]
+        window_s = framing[source][1] / signal.sample_rate_hz
+        row = first[source]
         for frame in extract_frames(signal, config):
             label = track.label_for_span(frame.t_start_s, frame.t_start_s + window_s)
-            if label is None:
-                continue
-            records[kept] = (source, frame.frame_index, frame.t_start_s, label, 0, 0,
-                             frame.lines)
-            kept += 1
-    if not kept:
+            if label is not None:
+                records[row] = (source, frame.frame_index, frame.t_start_s, label, 0, 0,
+                                frame.lines)
+                row += 1
+        kept[source] = row - first[source]
+
+    scratch = max((extract_scratch(window_n, n, s.sample_rate_hz, config)
+                   for (s, _, _), (_, window_n, n) in zip(pairs, framing)), default=0)
+    cpus.deal(extract, range(len(pairs)), scratch)
+    n_kept = 0
+    for source, n in enumerate(kept):
+        if n_kept != first[source]:
+            records[n_kept : n_kept + n] = records[first[source] : first[source] + n]
+        n_kept += n
+    if not n_kept:
         raise EmptyDataset("no frame fell inside a labeled interval")
-    records = records[:kept]
+    records = records[:n_kept]
     ambiguous = np.array([bool(a) for _, _, a in pairs])
     records["split"] = stratified_split(
         records["label"], ambiguous[records["source"]], split_seed, test_fraction
@@ -213,8 +237,8 @@ def build_dataset(
         "taper": "hann",
         "split_seed": str(split_seed),
         "test_fraction": repr(test_fraction),
-        "dropped_frames": str(n_frames - kept),
-        "n_samples": str(kept),
+        "dropped_frames": str(first[-1] - n_kept),
+        "n_samples": str(n_kept),
     }
     for split in Split:
         for cls in CLASS_ORDER:

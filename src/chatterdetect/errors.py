@@ -144,7 +144,7 @@ class MissingClass(ChatterError):
 
 
 class BadSourceId(ChatterError):
-    """Source id holds a line break, which would split its manifest line."""
+    """Source id or spec holds a line break, which would split its manifest line."""
 
 
 class CorruptDataset(ChatterError):
@@ -172,7 +172,8 @@ class TrainingDiverged(ChatterError):
 # evaluation
 
 class LengthMismatch(ChatterError):
-    """Predictions and labels differ in length."""
+    """Predictions and labels differ in length, or probabilities are not
+    one column per class."""
 
 
 class EmptyInput(ChatterError):

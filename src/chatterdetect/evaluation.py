@@ -153,8 +153,14 @@ def roc(probabilities, labels, positive_class: MachiningClass) -> RocCurve:
 def build_report(
     probabilities, labels, split_id: str = "", model_id: str = ""
 ) -> EvaluationReport:
-    """Assemble the full report; ROC is skipped (None) for one-sided classes."""
+    """Assemble the full report; ROC is skipped (None) for one-sided classes.
+    Probabilities must be (n, 3), one column per class, or LengthMismatch
+    is raised."""
     probs = np.asarray(probabilities, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] != len(CLASS_ORDER):
+        raise LengthMismatch(
+            f"probabilities must be (n, {len(CLASS_ORDER)}), got shape {probs.shape}"
+        )
     y = list(labels)
     cm = confusion(probs.argmax(axis=1), y)
     curves: dict[MachiningClass, RocCurve | None] = {}

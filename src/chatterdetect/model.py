@@ -19,28 +19,24 @@ every step; the contexts of weighted layers hold views into that call's
 flat gradient vector, which their backward passes overwrite in place.
 
 Inference uses that: it runs the layers up to flatten on blocks of
-frames spread over the CPUs the process may use, by the calling thread
-and short-lived helpers kept off the caller's CPU, each block writing its
-own rows of one feature array. The dense layers then run once over all
-rows on the calling thread, as the rows of a BLAS matrix product can
-round differently with the number of rows; so the probabilities keep
-their bits whatever the thread count.
+frames dealt over the CPUs the process may use by `cpus.deal`, each
+block writing its own rows of one feature array. The dense layers then
+run once over all rows on the calling thread, as the rows of a BLAS
+matrix product can round differently with the number of rows; so the
+probabilities keep their bits whatever the thread count.
 """
 
 from __future__ import annotations
 
-import ctypes
 import logging
 import math
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import defaults
+from . import cpus, defaults
 from .dataset import LabeledDataset, Split
 from .errors import (
     CorruptModel, EmptyDataset, FeatureMismatch, MissingClass, NonFiniteSamples,
@@ -396,65 +392,21 @@ def _forward_batch(model: ClassifierModel, x, ctxs, training=False):
 # CPUs, and 40, 44, 49 and 84 ms on one.
 _INFER_BLOCK = 16
 
-# The blocks of one call run on every CPU the process may use, but on no
-# more threads than keep their blocks' activations within this many
-# bytes: 8 threads at the defaults. The gain assumes a single-threaded
-# BLAS; with OpenBLAS's default thread count there was none.
-_INFER_SCRATCH = 16 << 20
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _other_cpus() -> set[int] | None:
-    """The CPUs the calling thread may run on but for the one it runs on
-    now; None where threads cannot be placed on this platform."""
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    return os.sched_getaffinity(0) - {ctypes.CDLL(None).sched_getcpu()}
-
 
 def _inference(model: ClassifierModel, x):
     """Softmax outputs for the (n, n_inputs) frames `x`, without dropout."""
     conv, dense = model.layers[:_CONV_STAGE], model.layers[_CONV_STAGE:]
     a = np.empty((len(x), dense[0].n_in), dtype=model.dtype)
 
-    def run(share, cpus=None):
-        if cpus:
-            # a scheduler that does not balance load can start the helper
-            # on the caller's CPU and leave it there; on Linux, pid 0 binds
-            # this thread alone
-            try:
-                os.sched_setaffinity(0, cpus)
-            except OSError:  # the placement is only a hint
-                pass
-        for lo in share:
-            block = _condition(model, x[lo : lo + _INFER_BLOCK])
-            for layer in conv:
-                block = layer.forward(block)
-            a[lo : lo + len(block)] = block
+    def run(lo):
+        block = _condition(model, x[lo : lo + _INFER_BLOCK])
+        for layer in conv:
+            block = layer.forward(block)
+        a[lo : lo + len(block)] = block
 
     # a block peaks at relu1, which holds conv1's output and its own
     block_bytes = _INFER_BLOCK * 2 * model.n_inputs * conv[0].c_out * model.dtype.itemsize
-    n_blocks = -(-len(x) // _INFER_BLOCK)
-    workers = max(1, min(_cpu_count(), n_blocks, _INFER_SCRATCH // block_bytes))
-    step = workers * _INFER_BLOCK
-    # share j holds blocks j, j + workers, ...; the caller runs share 0
-    shares = [range(lo, len(x), step) for lo in range(0, step, _INFER_BLOCK)]
-    if workers == 1:
-        run(shares[0])
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            cpus = _other_cpus()
-            helpers = [pool.submit(run, share, cpus) for share in shares[1:]]
-            run(shares[0])
-            for helper in helpers:
-                helper.result()
+    cpus.deal(run, range(0, len(x), _INFER_BLOCK), block_bytes)
     for layer in dense:
         a = layer.forward(a)
     return _softmax(a)

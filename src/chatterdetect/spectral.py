@@ -219,6 +219,17 @@ def frame_lines_valid(lines: np.ndarray, crop_db: float):
     return (lo >= floor) & (hi <= 0) & ((hi == 0) | (hi == floor))
 
 
+def extract_scratch(
+    window_n: int, n_frames: int, sample_rate_hz: float, config: SpectralConfig
+) -> int:
+    """Bytes extract_frames holds at most for n_frames frames of window_n
+    samples: a pass's float64 windows and padded rows, their complex
+    spectra, and every frame's lines. At the defaults a pass of 32 frames
+    measured 8.6 MiB under tracemalloc, and this gives 9.2 MiB."""
+    n_fft = _n_fft(window_n, sample_rate_hz, config)
+    return min(n_frames, _CHUNK) * 16 * (n_fft + window_n) + n_frames * 4 * config.n_lines
+
+
 def extract_frames(
     signal: TimeSignal, config: SpectralConfig = SpectralConfig()
 ) -> list[SpectralFrame]:

@@ -29,7 +29,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import defaults
+from . import cpus, defaults
 from .errors import ChatterError, InfeasibleSpec, IoFailure, make_dir, read_text, write_lines
 from .signal_io import (
     CLASS_ORDER,
@@ -64,6 +64,10 @@ NOISE_SIGMA_RANGE = (0.02, 0.12)
 CHATTER_RATIO_RANGE = (1.5, 4.0)
 
 MANIFEST_NAME = "corpus.json"
+
+# generate's tracemalloc peak per sample, output included: six float64
+# arrays at most (the time axis, blend parts, sine and blend temporaries)
+_SYNTH_SCRATCH_PER_SAMPLE = 48
 
 # the most samples one PCM16 WAV data chunk holds: its 32-bit RIFF size
 # field counts 36 header bytes besides the data
@@ -267,6 +271,12 @@ def generate_corpus(
     are drawn from seeds mixed with the signal index, making the corpus
     both deterministic and order-independent. Passing chatter_ratio or
     noise_sigma pins that value for every signal instead of drawing it.
+
+    Every spec is drawn first, in index order, so the draws and any
+    InfeasibleSpec come as from one loop. The signals are then
+    synthesized by `cpus.deal`, on as many CPUs as keep their
+    temporaries within its scratch budget: long signals run one at a
+    time. The corpus is the same, bit for bit, on any number of CPUs.
     """
     if n_per_class < 1:
         raise ValueError("n_per_class must be at least 1")
@@ -277,7 +287,7 @@ def generate_corpus(
         raise ValueError("rpm_choices must be non-empty")
 
     n_ambiguous = round(n_per_class * ambiguous_fraction)
-    items = []
+    specs, ambiguity = [], []
     index = 0
     for cls in CLASS_ORDER:
         for j in range(n_per_class):
@@ -314,19 +324,26 @@ def generate_corpus(
                 seed=sig_seed,
                 ambiguity=lam,
             )
-            signal = generate(spec)
-            labels = LabelTrack((LabelInterval(0.0, spec.duration_s, cls),))
-            items.append(
-                CorpusItem(
-                    item_id=f"{cls.token}-{index:04d}",
-                    signal=signal,
-                    labels=labels,
-                    ambiguous=ambiguous,
-                    spec=spec,
-                )
-            )
+            specs.append(spec)
+            ambiguity.append(ambiguous)
             index += 1
-    return items
+
+    signals = [None] * len(specs)
+
+    def synthesize(i):
+        signals[i] = generate(specs[i])
+
+    cpus.deal(synthesize, range(len(specs)), _SYNTH_SCRATCH_PER_SAMPLE * sample_count(duration_s))
+    return [
+        CorpusItem(
+            item_id=f"{spec.signal_class.token}-{i:04d}",
+            signal=signal,
+            labels=LabelTrack((LabelInterval(0.0, spec.duration_s, spec.signal_class),)),
+            ambiguous=ambiguous,
+            spec=spec,
+        )
+        for i, (spec, signal, ambiguous) in enumerate(zip(specs, signals, ambiguity))
+    ]
 
 
 def spec_to_dict(spec: SynthSpec) -> dict:

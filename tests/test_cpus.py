@@ -1,0 +1,208 @@
+"""Work dealt over CPUs: the same bytes and the serial loop's error at any
+simulated CPU count, bounded pools, no thread left behind, and one module
+that places threads."""
+
+import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import chatterdetect as cd
+import chatterdetect.cpus as cpus_module
+import chatterdetect.dataset as dataset_module
+import chatterdetect.synth as synth_module
+from chatterdetect.errors import BandExceedsNyquist
+from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass, TimeSignal
+from chatterdetect.spectral import SpectralConfig
+
+PACKAGE = Path(cd.__file__).parent
+
+
+@pytest.fixture
+def fast_switching():
+    # switch threads as often as the interpreter can, so that an item
+    # written to another item's place would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """The max_workers of every pool `deal` starts."""
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cpus_module, "ThreadPoolExecutor", RecordingPool)
+    return pools
+
+
+def pairs_of(items):
+    return [(it.signal, it.labels, it.ambiguous) for it in items]
+
+
+def mixed_pairs(items):
+    """The corpus's pairs, with signal 1 losing the 4 frames in its middle,
+    so that later runs move down by less than their length, and signal 4
+    keeping no frame."""
+    pairs = pairs_of(items)
+    sig, track, amb = pairs[1]
+    cls = track.intervals[0].label
+    pairs[1] = (sig, LabelTrack((LabelInterval(0.0, 0.35, cls), LabelInterval(0.65, 1.0, cls))),
+                amb)
+    sig, _, amb = pairs[4]
+    pairs[4] = (sig, LabelTrack((LabelInterval(0.0, 0.05, MachiningClass.CHATTER),)), amb)
+    return pairs
+
+
+def test_items_are_dealt_round_robin_and_the_caller_runs_share_0(monkeypatch):
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 3)
+    ran = []
+    cpus_module.deal(lambda i: ran.append((i, threading.current_thread())), range(8), 1)
+    threads = {}
+    for i, thread in ran:
+        threads.setdefault(i % 3, set()).add(thread)
+    assert sorted(i for i, _ in ran) == list(range(8))
+    assert threads[0] == {threading.main_thread()}
+    assert threading.main_thread() not in threads[1] | threads[2]
+    for share in range(3):  # each share runs its items in order
+        assert [i for i, _ in ran if i % 3 == share] == list(range(share, 8, 3))
+
+
+@pytest.mark.parametrize("n_items, item_bytes", [(1, 1), (5, cpus_module.SCRATCH_BUDGET)])
+def test_one_item_or_one_items_budget_starts_no_thread(n_items, item_bytes, monkeypatch,
+                                                       recorded_pools):
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 8)
+    ran = []
+    cpus_module.deal(lambda i: ran.append((i, threading.current_thread())), range(n_items),
+                     item_bytes)
+    assert ran == [(i, threading.main_thread()) for i in range(n_items)]
+    assert recorded_pools == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_the_lowest_failing_item_raises(cpus, monkeypatch):
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: cpus)
+    errors = {i: ValueError(f"item {i}") for i in (3, 5, 6)}
+
+    def fail(i):
+        if i in errors:
+            raise errors[i]
+
+    with pytest.raises(ValueError) as raised:
+        cpus_module.deal(fail, range(9), 1)
+    assert raised.value is errors[3]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_synthesis_gives_the_same_bytes_on_any_number_of_cpus(cpus, monkeypatch,
+                                                              fast_switching):
+    serial = cd.generate_corpus(3, 1.0 / 3.0, [1800, 3000], seed=61, duration_s=0.5)
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: cpus)
+    dealt = cd.generate_corpus(3, 1.0 / 3.0, [1800, 3000], seed=61, duration_s=0.5)
+    assert [it.spec for it in dealt] == [it.spec for it in serial]
+    assert [it.item_id for it in dealt] == [it.item_id for it in serial]
+    for a, b in zip(dealt, serial):
+        assert a.signal.samples.tobytes() == b.signal.samples.tobytes()
+        assert np.array_equal(a.signal.samples, cd.generate(a.spec).samples)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_extraction_gives_the_same_bytes_on_any_number_of_cpus(cpus, monkeypatch,
+                                                                fast_switching, small_corpus):
+    pairs = mixed_pairs(small_corpus)
+    serial = cd.build_dataset(pairs, split_seed=5, test_fraction=0.25)
+    # the serial records are the kept frames in signal order
+    frames = [cd.extract_frames(sig) for sig, _, _ in pairs]
+    kept = [(i, frame) for i, ((_, track, _), signal_frames) in enumerate(zip(pairs, frames))
+            for frame in signal_frames
+            if track.label_for_span(frame.t_start_s, frame.t_start_s + 0.1) is not None]
+    assert serial.manifest["dropped_frames"] == "14"  # 4 of signal 1, 10 of signal 4
+    assert serial.records["source"].tolist() == [i for i, _ in kept]
+    assert serial.records["frame_index"].tolist() == [frame.frame_index for _, frame in kept]
+    assert np.array_equal(serial.records["lines"], [frame.lines for _, frame in kept])
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: cpus)
+    dealt = cd.build_dataset(pairs, split_seed=5, test_fraction=0.25)
+    assert dealt.manifest == serial.manifest
+    assert dealt.records.tobytes() == serial.records.tobytes()
+
+
+def nyquist_pairs(small_corpus):
+    """Six signals at the default rate, then one at 10 000 Hz and one at
+    8 000 Hz: at f_max 6 000 Hz both later ones fail."""
+    pairs = pairs_of(small_corpus[:6])
+    track = LabelTrack((LabelInterval(0.0, 1.0, MachiningClass.CHATTER),))
+    for rate in (10_000.0, 8_000.0):
+        samples = np.random.default_rng(int(rate)).standard_normal(int(rate))
+        pairs.append((TimeSignal(samples, rate), track, False))
+    return pairs
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_extraction_raises_the_serial_error(cpus, monkeypatch, small_corpus):
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: cpus)
+    before = threading.active_count()
+    with pytest.raises(BandExceedsNyquist, match="Nyquist 5000 Hz"):
+        cd.build_dataset(nyquist_pairs(small_corpus), SpectralConfig(f_max_hz=6000.0))
+    assert threading.active_count() == before
+
+
+def test_dealing_leaves_no_thread_running(monkeypatch, small_corpus):
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 3)
+    before = threading.active_count()
+    cd.generate_corpus(2, 0.0, [1800], seed=3, duration_s=0.2)
+    assert threading.active_count() == before
+    cd.build_dataset(pairs_of(small_corpus))
+    assert threading.active_count() == before
+
+
+def test_long_signals_cap_the_pool_on_many_cpus(monkeypatch, recorded_pools):
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 64)
+    # a 4 s signal's synthesis peaks near 48 bytes a sample, 4.0 MiB:
+    # 3 fit the 16 MiB budget, the caller and 2 helpers
+    items = cd.generate_corpus(2, 0.0, [1800, 3000], seed=8, duration_s=4.0)
+    assert recorded_pools == [2]
+    # one pass over 32 frames of a 4 s signal holds 9.2 MiB: one at a time
+    cd.build_dataset(pairs_of(items))
+    assert recorded_pools == [2]
+    # ten 1 s frames hold 2.8 MiB: 5 fit, and 6 signals use them all
+    cd.build_dataset([(TimeSignal(s.samples[:22050], s.sample_rate_hz), track, amb)
+                      for s, track, amb in pairs_of(items)])
+    assert recorded_pools == [2, 4]
+
+
+def test_synthesis_and_extraction_are_looked_up_per_call(monkeypatch, small_corpus):
+    # a benchmark times them by replacing these module globals
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 2)
+    calls = []
+    for module, name in ((synth_module, "generate"), (dataset_module, "extract_frames")):
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    cd.generate_corpus(1, 0.0, [1800], seed=3, duration_s=0.2)
+    cd.build_dataset(pairs_of(small_corpus[:4]))
+    assert sorted(calls) == ["extract_frames"] * 4 + ["generate"] * 3
+
+
+def test_only_the_cpus_module_places_threads():
+    placing = re.compile(r"\b(ThreadPoolExecutor|sched_setaffinity|sched_getcpu)\b")
+    offenders = {
+        path.name: sorted(set(placing.findall(path.read_text(encoding="utf-8"))))
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "cpus.py"
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}

@@ -148,6 +148,24 @@ def test_source_id_holding_a_manifest_separator_is_rejected(bad_id):
                          source_ids=[bad_id, "c"])
 
 
+@pytest.mark.parametrize("bad_spec", ['{"a": 1}\nsplit_seed=5', "a\r", "a\u2028b"])
+def test_source_spec_holding_a_manifest_separator_is_rejected(bad_spec):
+    # unchecked, the first spec would save a manifest that reloads with split_seed=5
+    sig, track = one_chatter_signal()
+    with pytest.raises(BadSourceId):
+        cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
+                         source_specs=[bad_spec, ""])
+
+
+@pytest.mark.parametrize("field", ["source_ids", "source_specs"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_source_ids_and_specs_must_parallel_pairs(field, n):
+    sig, track = one_chatter_signal()
+    with pytest.raises(ValueError, match=f"{field} must parallel pairs"):
+        cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
+                         **{field: ["x"] * n})
+
+
 def test_source_id_holding_a_bar_round_trips(tmp_path):
     sig, track = one_chatter_signal()
     ds = cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,

@@ -249,3 +249,9 @@ def test_report_skips_degenerate_roc():
     report = cd.build_report(probs, labels)
     assert report.roc_curves[MachiningClass.ROTATION_NO_MACHINING] is None
     assert report.roc_curves[MachiningClass.CHATTER] is not None
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (3, 4), (3, 3, 1)])
+def test_report_refuses_probabilities_not_one_column_per_class(shape):
+    with pytest.raises(LengthMismatch, match=r"must be \(n, 3\)"):
+        cd.build_report(np.full(shape, 0.5), [0, 1, 2])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import chatterdetect as cd
-import chatterdetect.model as model_module
+import chatterdetect.cpus as cpus_module
 from chatterdetect.dataset import Split
 from chatterdetect.errors import (
     CorruptModel, EmptyDataset, MissingClass, NonFiniteSamples, TrainingDiverged,
@@ -155,7 +155,7 @@ def test_inference_memory_stays_bounded():
 
 
 def test_inference_memory_stays_bounded_on_many_cpus(monkeypatch):
-    monkeypatch.setattr(model_module, "_cpu_count", lambda: 64)
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 64)
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -163,7 +163,7 @@ def test_inference_memory_stays_bounded_on_many_cpus(monkeypatch):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(model_module, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cpus_module, "ThreadPoolExecutor", RecordingPool)
     model = cd.build_model(0)
     x = np.random.default_rng(0).uniform(-20, 0, (1024, 1024)).astype(np.float32)
     tracemalloc.start()
@@ -183,7 +183,7 @@ def test_inference_memory_stays_bounded_on_many_cpus(monkeypatch):
 @pytest.mark.parametrize("n", [0, 1, 16, 17, 33, 53])
 def test_threaded_inference_equals_the_whole_batch(n, cpus, monkeypatch, small_dataset,
                                                    trained_small_model):
-    monkeypatch.setattr(model_module, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: cpus)
     x = small_dataset.records["lines"][:n]
     # switch threads as often as the interpreter can, so that a block
     # written to another share's rows would show
@@ -197,7 +197,7 @@ def test_threaded_inference_equals_the_whole_batch(n, cpus, monkeypatch, small_d
 
 
 def test_a_helper_threads_error_reaches_the_caller(monkeypatch, small_dataset):
-    monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 2)
     model = cd.build_model(0)
     error = RuntimeError("conv2 failed in a helper")
     forward = model.layers[3].forward
@@ -214,7 +214,7 @@ def test_a_helper_threads_error_reaches_the_caller(monkeypatch, small_dataset):
 
 
 def test_threaded_inference_leaves_no_thread_running(monkeypatch, small_dataset):
-    monkeypatch.setattr(model_module, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 3)
     before = threading.active_count()
     cd.predict_batch(cd.build_model(0), small_dataset.records["lines"][: 3 * _INFER_BLOCK])
     assert threading.active_count() == before
@@ -223,11 +223,11 @@ def test_threaded_inference_leaves_no_thread_running(monkeypatch, small_dataset)
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="threads cannot be placed")
 def test_helpers_run_off_the_callers_cpu(monkeypatch, small_dataset):
     allowed = os.sched_getaffinity(0)
-    others = model_module._other_cpus()
+    others = cpus_module.other_cpus()
     assert others < allowed and len(others) == len(allowed) - 1  # all but the caller's
     cpu = {min(allowed)}
-    monkeypatch.setattr(model_module, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(model_module, "_other_cpus", lambda: cpu)
+    monkeypatch.setattr(cpus_module, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cpus_module, "other_cpus", lambda: cpu)
     model = cd.build_model(0)
     masks = {}
     forward = model.layers[0].forward
