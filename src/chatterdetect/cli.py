@@ -176,7 +176,8 @@ def build_parser(overrides: dict[str, str] | None = None) -> _Parser:
     p = sub.add_parser("eval", help="evaluate a model on a dataset split")
     add(p, "--model", required=True)
     add(p, "--data", required=True, help="dataset directory")
-    add(p, "--split", choices=["test", "test2"], default="test")
+    add(p, "--split", choices=[Split.TEST.token, Split.TEST2_AMBIGUOUS.token],
+        default=Split.TEST.token)
     add(p, "--out", required=True, help="report output directory")
     p.set_defaults(func=cmd_eval)
 

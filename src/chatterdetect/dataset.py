@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cpus, defaults
 from .errors import (
-    BadSourceId, CorruptDataset, EmptyDataset, MissingClass,
+    BadSourceId, CorruptDataset, EmptyDataset,
     make_dir, read_bytes, read_text, write_bytes, write_lines,
 )
 from .signal_io import CLASS_ORDER, MachiningClass
@@ -85,13 +85,14 @@ class LabeledDataset:
 
     @property
     def config(self) -> SpectralConfig:
-        """The spectral config the manifest records; an absent field reads
-        as its default."""
+        """The spectral config the manifest records; every field must be there."""
         try:
             return SpectralConfig(**{
                 name: type(default)(self.manifest[name])
-                for name, default in asdict(SpectralConfig()).items() if name in self.manifest
+                for name, default in asdict(SpectralConfig()).items()
             })
+        except KeyError as exc:
+            raise CorruptDataset(f"manifest has no spectral field {exc}") from None
         except ValueError as exc:
             raise CorruptDataset(f"manifest spectral config: {exc}") from None
 
@@ -220,10 +221,6 @@ def build_dataset(
         records["split"] * len(CLASS_ORDER) + records["label"],
         minlength=len(Split) * len(CLASS_ORDER),
     ).reshape(len(Split), len(CLASS_ORDER))
-    missing = counts[: Split.TEST2_AMBIGUOUS].any(axis=0) & (counts[Split.TRAIN] == 0)
-    if missing.any():
-        names = ", ".join(cls.token for cls in CLASS_ORDER if missing[cls])
-        raise MissingClass(f"no training samples for class(es): {names}")
 
     manifest = {
         "format": "chatterdetect-dataset",
@@ -308,7 +305,7 @@ def load_dataset(in_dir) -> LabeledDataset:
         raise CorruptDataset("manifest n_samples or n_sources missing or not an integer") from None
     if counted != n_samples:
         raise CorruptDataset(f"manifest says {counted} frames, frames.bin {n_samples}")
-    if np.any(records["label"] > 2) or np.any(records["split"] > 3):
+    if np.any(records["label"] >= len(CLASS_ORDER)) or np.any(records["split"] >= len(Split)):
         raise CorruptDataset("label or split code out of range")
     if not np.all(frame_lines_valid(records["lines"], config.crop_db)):
         raise CorruptDataset("frame violates the renormalization invariants")

@@ -24,8 +24,6 @@ DROPOUT_RATE = 0.3
 RMSPROP_RHO = 0.9
 RMSPROP_EPSILON = 1e-7
 
-N_CLASSES = 3
-
 # dataset splitting
 VAL_FRACTION = 0.3
 TEST_FRACTION = 0.2

@@ -30,7 +30,9 @@ class SampleRateTooLow(ChatterError):
 
 class NonFiniteSamples(ChatterError):
     """A signal holds NaN or infinite samples or has a non-finite sample
-    rate, or a frame given to the classifier holds a NaN or infinite line."""
+    rate, a frame given to the classifier holds a NaN or infinite line, or
+    class probabilities given to `roc` or `build_report` hold a NaN or
+    infinite value."""
 
 
 class IoFailure(ChatterError):
@@ -98,7 +100,7 @@ class ParseError(ChatterError):
 
 class UnknownLabel(ChatterError):
     """Label token outside {chatter, machining, rotation}, or a class code
-    outside 0..2."""
+    that is not a MachiningClass."""
 
 
 class OverlappingIntervals(ChatterError):

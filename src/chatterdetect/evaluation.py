@@ -16,6 +16,7 @@ from .errors import (
     EmptyInput,
     EmptyMatrix,
     LengthMismatch,
+    NonFiniteSamples,
     UnknownLabel,
     make_dir,
     remove_file,
@@ -26,17 +27,12 @@ from .signal_io import CLASS_ORDER, MachiningClass
 
 @dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    counts: np.ndarray  # (3, 3) int64; rows = true class, columns = predicted
+    counts: np.ndarray  # (n, n) int64, n classes; rows = true class, columns = predicted
 
     def __post_init__(self):
         object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
-        if self.counts.shape != (3, 3) or (self.counts < 0).any():
-            raise ValueError("confusion matrix must be 3x3 with non-negative counts")
-
-    def __eq__(self, other):
-        if not isinstance(other, ConfusionMatrix):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
+        if self.counts.shape != (len(CLASS_ORDER),) * 2 or (self.counts < 0).any():
+            raise ValueError("confusion matrix must be (classes, classes) and non-negative")
 
     @property
     def total(self) -> int:
@@ -80,8 +76,8 @@ class EvaluationReport:
 
 
 def _codes(values) -> np.ndarray:
-    """`values` as int64 class codes; UnknownLabel unless each is one of 0..2
-    (so 1.5 or NaN is rejected, not truncated)."""
+    """`values` as int64 class codes; UnknownLabel unless each is a
+    MachiningClass code (so 1.5 or NaN is rejected, not truncated)."""
     raw = np.asarray(values)
     n = len(CLASS_ORDER)
     if not np.isin(raw, np.arange(n)).all():
@@ -90,7 +86,7 @@ def _codes(values) -> np.ndarray:
 
 
 def confusion(predictions, labels) -> ConfusionMatrix:
-    """Counts of (true, predicted) class-code pairs; codes must lie in 0..2."""
+    """Counts of (true, predicted) class-code pairs; codes must be MachiningClass's."""
     pred, true = _codes(predictions), _codes(labels)
     if pred.shape != true.shape:
         raise LengthMismatch(f"{pred.size} predictions vs {true.size} labels")
@@ -120,7 +116,8 @@ def class_metrics(cm: ConfusionMatrix) -> ClassMetrics:
 
 
 def roc(probabilities, labels, positive_class: MachiningClass) -> RocCurve:
-    """One-vs-rest ROC over the class's predicted probability.
+    """One-vs-rest ROC over the class's predicted probability; a NaN or
+    infinite probability raises NonFiniteSamples.
 
     Threshold sweep in descending score order; samples with equal scores
     move together, and the AUC is the trapezoidal area.
@@ -129,6 +126,8 @@ def roc(probabilities, labels, positive_class: MachiningClass) -> RocCurve:
     y = _codes(labels)
     if probs.ndim != 2 or probs.shape[0] != y.size:
         raise LengthMismatch("probabilities and labels do not align")
+    if not np.isfinite(probs).all():
+        raise NonFiniteSamples("probabilities must be finite (no NaN or infinity)")
     scores = probs[:, int(positive_class)]
     positive = y == int(positive_class)
     n_pos, n_neg = int(positive.sum()), int((~positive).sum())
@@ -154,8 +153,8 @@ def build_report(
     probabilities, labels, split_id: str = "", model_id: str = ""
 ) -> EvaluationReport:
     """Assemble the full report; ROC is skipped (None) for one-sided classes.
-    Probabilities must be (n, 3), one column per class, or LengthMismatch
-    is raised."""
+    Probabilities must be (n, len(CLASS_ORDER)), one column per class, or
+    LengthMismatch is raised, and finite, or `roc` raises NonFiniteSamples."""
     probs = np.asarray(probabilities, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] != len(CLASS_ORDER):
         raise LengthMismatch(

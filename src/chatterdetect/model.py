@@ -331,7 +331,7 @@ def _network(n_inputs: int, dropout_rate: float) -> list[Layer]:
         Flatten(),
         Dense(length * 32, 128), ReLU(), Dropout(dropout_rate),
         Dense(128, 64), ReLU(),
-        Dense(64, defaults.N_CLASSES),
+        Dense(64, len(CLASS_ORDER)),
     ]
 
 
@@ -670,7 +670,7 @@ _HEADER = struct.Struct("<4sIIqddIddd")
 
 def save_model(model: ClassifierModel, path) -> None:
     """A version 2 file: the header, then the weights as little-endian f32."""
-    header = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, defaults.N_CLASSES, model.seed,
+    header = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(CLASS_ORDER), model.seed,
                           *astuple(model.config), model.dropout_rate)
     write_bytes(path, header, np.ascontiguousarray(model.flat, dtype="<f4"))
 
@@ -690,8 +690,8 @@ def load_model(path) -> ClassifierModel:
         raise CorruptModel(f"truncated model file: {exc}") from exc
     if seed < 0:
         raise CorruptModel(f"negative seed {seed}")
-    if n_classes != defaults.N_CLASSES:
-        raise CorruptModel(f"{n_classes} classes, expected {defaults.N_CLASSES}")
+    if n_classes != len(CLASS_ORDER):
+        raise CorruptModel(f"{n_classes} classes, expected {len(CLASS_ORDER)}")
 
     # require the network before allocating: its sizes bound the weights
     try:

@@ -56,11 +56,7 @@ _CLASS_TOKENS = {
 }
 _TOKEN_CLASSES = {v: k for k, v in _CLASS_TOKENS.items()}
 
-CLASS_ORDER = (
-    MachiningClass.CHATTER,
-    MachiningClass.MACHINING_NO_CHATTER,
-    MachiningClass.ROTATION_NO_MACHINING,
-)
+CLASS_ORDER = tuple(MachiningClass)
 
 
 def class_from_token(token: str) -> MachiningClass:
@@ -92,10 +88,6 @@ class TimeSignal:
                 f"sample rate {self.sample_rate_hz} Hz is below the "
                 f"{MIN_SAMPLE_RATE_HZ:g} Hz minimum"
             )
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
 
 @dataclass(frozen=True)

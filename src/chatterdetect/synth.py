@@ -62,6 +62,7 @@ AMBIGUITY_RANGE = (0.1, 0.35)
 RPM_JITTER = 0.08
 NOISE_SIGMA_RANGE = (0.02, 0.12)
 CHATTER_RATIO_RANGE = (1.5, 4.0)
+N_TEETH = 3  # every corpus signal is milled with a three-tooth cutter
 
 MANIFEST_NAME = "corpus.json"
 
@@ -257,7 +258,6 @@ def generate_corpus(
     rpm_choices,
     seed: int,
     duration_s: float = 1.0,
-    n_teeth: int = 3,
     chatter_ratio: float | None = None,
     noise_sigma: float | None = None,
 ) -> list[CorpusItem]:
@@ -296,7 +296,7 @@ def generate_corpus(
             rpm = rpm_list[index % len(rpm_list)] * rng.uniform(
                 1 - RPM_JITTER, 1 + RPM_JITTER
             )
-            f_tp = n_teeth * rpm / 60.0
+            f_tp = N_TEETH * rpm / 60.0
             # keep the mode far enough off the harmonic grid that the
             # +-3 Hz tone jitter always clears the 5 Hz exclusion with
             # margin to spare for the spectral grid resolution
@@ -315,7 +315,7 @@ def generate_corpus(
             spec = SynthSpec(
                 signal_class=cls,
                 spindle_rpm=float(rpm),
-                n_teeth=n_teeth,
+                n_teeth=N_TEETH,
                 structural_mode_hz=mode,
                 chatter_ratio=ratio,
                 noise_sigma=sigma,

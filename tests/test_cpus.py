@@ -1,6 +1,7 @@
 """Work dealt over CPUs: the same bytes and the serial loop's error at any
 simulated CPU count, bounded pools, no thread left behind, and one module
-that places threads."""
+that places threads. Beside that guard, one that `MachiningClass` alone
+states the class set."""
 
 import re
 import sys
@@ -15,7 +16,8 @@ import chatterdetect as cd
 import chatterdetect.cpus as cpus_module
 import chatterdetect.dataset as dataset_module
 import chatterdetect.synth as synth_module
-from chatterdetect.errors import BandExceedsNyquist
+from chatterdetect.dataset import FRAMES_FILE, record_dtype
+from chatterdetect.errors import BandExceedsNyquist, CorruptDataset
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass, TimeSignal
 from chatterdetect.spectral import SpectralConfig
 
@@ -206,3 +208,39 @@ def test_only_the_cpus_module_places_threads():
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "cpus.py"
     }
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_no_module_restates_the_class_count():
+    restating = re.compile(r"\bN_CLASSES\b|\(\s*3\s*,\s*3\s*\)")
+    offenders = {
+        path.name: sorted(set(restating.findall(path.read_text(encoding="utf-8"))))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}
+
+
+def test_network_matrix_and_dataset_take_len_machining_class_classes(tmp_path, small_dataset):
+    n = len(MachiningClass)
+    assert cd.build_model(0).layers[-1].n_out == n
+
+    accepted = []
+    for k in range(1, n + 3):
+        try:
+            cd.ConfusionMatrix(np.zeros((k, k)))
+        except ValueError:
+            continue
+        accepted.append(k)
+    assert accepted == [n]
+
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / FRAMES_FILE
+    blob = bytearray(path.read_bytes())
+    labels = np.frombuffer(blob, dtype=record_dtype(small_dataset.n_lines), offset=16)["label"]
+    for code in range(256):
+        labels[0] = code
+        path.write_bytes(bytes(blob))
+        try:
+            cd.load_dataset(tmp_path / "ds")
+        except CorruptDataset:
+            break
+    assert code == n

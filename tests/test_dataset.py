@@ -111,6 +111,25 @@ def test_stratified_split_properties():
                 assert abs(val - 0.3 * (train + val)) <= 1.0
 
 
+@pytest.mark.parametrize(
+    "test_fraction",
+    [0.0, 0.2, 0.9, np.nextafter(1.0, 0.0), np.nextafter(np.float32(1.0), np.float32(0.0))],
+    ids=["0", "0.2", "0.9", "float64-below-1", "float32-below-1"],
+)
+def test_every_class_with_an_unambiguous_frame_keeps_a_train_frame(test_fraction):
+    # floor(f * n) < n for f < 1, and floor(0.3 * r) < r for the r left
+    for n in range(1, 400):
+        # chatter has n unambiguous frames, machining n // 2, rotation only
+        # ambiguous ones
+        labels = np.repeat([0, 1, 2], [n, n // 2, 3])
+        ambiguous = labels == 2
+        splits = stratified_split(labels, ambiguous, split_seed=n, test_fraction=test_fraction)
+        for cls in MachiningClass:
+            unambiguous = (labels == cls) & ~ambiguous
+            if unambiguous.any():
+                assert (splits[unambiguous] == Split.TRAIN).any(), (n, cls)
+
+
 def test_split_assignment_is_deterministic():
     labels = np.random.default_rng(0).integers(0, 3, 500)
     ambiguous = np.zeros(500, bool)
@@ -228,7 +247,9 @@ def test_large_dataset_size_is_exact(tmp_path):
     records["label"] = MachiningClass.CHATTER
     records["split"] = Split.TEST2_AMBIGUOUS
     records["lines"] = -20.0
-    ds = cd.LabeledDataset(records, {"crop_db": "20.0", "n_samples": "10180", "n_sources": "1"})
+    manifest = {"hop_s": "0.1", "window_s": "0.1", "n_lines": "1024", "f_max_hz": "2500.0",
+                "crop_db": "20.0", "n_samples": "10180", "n_sources": "1"}
+    ds = cd.LabeledDataset(records, manifest)
     cd.save_dataset(ds, tmp_path / "big")
     size = (tmp_path / "big" / FRAMES_FILE).stat().st_size
     assert size == 16 + 10180 * (1024 * 4 + 20)
@@ -288,6 +309,19 @@ def test_manifest_counts_must_match_frames_file(tmp_path, small_dataset, edit):
     assert edit(text) != text
     path.write_text(edit(text))
     with pytest.raises(CorruptDataset):
+        cd.load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("field", ["hop_s", "window_s", "n_lines", "f_max_hz", "crop_db"])
+def test_manifest_must_state_every_spectral_field(tmp_path, small_dataset, field):
+    # a default read in its place would frame predictions unlike the dataset
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / MANIFEST_FILE
+    lines = path.read_text().splitlines()
+    kept = [line for line in lines if not line.startswith(f"{field}=")]
+    assert len(kept) == len(lines) - 1
+    path.write_text("\n".join(kept) + "\n")
+    with pytest.raises(CorruptDataset, match=field):
         cd.load_dataset(tmp_path / "ds")
 
 

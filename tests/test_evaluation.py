@@ -7,6 +7,7 @@ from chatterdetect.errors import (
     EmptyInput,
     EmptyMatrix,
     LengthMismatch,
+    NonFiniteSamples,
     UnknownLabel,
 )
 from chatterdetect.signal_io import CLASS_ORDER, MachiningClass
@@ -56,6 +57,15 @@ def test_confusion_rejects_unknown_class_codes(code):
 def test_roc_rejects_unknown_class_codes(code):
     with pytest.raises(UnknownLabel):
         cd.roc(np.full((3, 3), 1 / 3), [0, code, 1], MachiningClass.CHATTER)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("column", [0, 2])
+def test_roc_refuses_non_finite_probabilities(bad, column):
+    probs = np.array([[0.2, 0.3, 0.5], [0.4, 0.5, 0.1], [0.9, 0.05, 0.05]])
+    probs[1, column] = bad
+    with pytest.raises(NonFiniteSamples):
+        cd.roc(probs, [0, 1, 2], MachiningClass.CHATTER)
 
 
 def test_published_matrix_metrics():
@@ -255,3 +265,12 @@ def test_report_skips_degenerate_roc():
 def test_report_refuses_probabilities_not_one_column_per_class(shape):
     with pytest.raises(LengthMismatch, match=r"must be \(n, 3\)"):
         cd.build_report(np.full(shape, 0.5), [0, 1, 2])
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2], [0, 0, 0]])
+def test_report_refuses_non_finite_probabilities(labels):
+    # argmax would read the NaN row as chatter, and the ROC sweep would
+    # sort it as a score; with one class only, no ROC is drawn at all
+    probs = [[0.2, 0.3, 0.5], [np.nan, 0.5, 0.5], [0.9, 0.05, 0.05]]
+    with pytest.raises(NonFiniteSamples):
+        cd.build_report(probs, labels)
