@@ -144,10 +144,6 @@ def stratified_split(
     return out
 
 
-def _count_key(split: Split, cls: MachiningClass) -> str:
-    return f"count.{split.token}.{cls.token}"
-
-
 def build_dataset(
     pairs,
     config: SpectralConfig = SpectralConfig(),
@@ -216,31 +212,18 @@ def build_dataset(
         records["label"], ambiguous[records["source"]], split_seed, test_fraction
     )
 
-    # counts[split, class]; the unambiguous frames are the non-test2 splits
-    counts = np.bincount(
-        records["split"] * len(CLASS_ORDER) + records["label"],
-        minlength=len(Split) * len(CLASS_ORDER),
-    ).reshape(len(Split), len(CLASS_ORDER))
-
     manifest = {
         "format": "chatterdetect-dataset",
         "version": str(FORMAT_VERSION),
-        "n_lines": str(config.n_lines),
-        "hop_s": repr(config.hop_s),
-        "window_s": repr(config.window_s),
+        **{name: repr(value) for name, value in asdict(config).items()},
         "f_min_hz": "0.0",
-        "f_max_hz": repr(config.f_max_hz),
-        "crop_db": repr(config.crop_db),
         "taper": "hann",
         "split_seed": str(split_seed),
-        "test_fraction": repr(test_fraction),
+        "test_fraction": repr(float(test_fraction)),
         "dropped_frames": str(first[-1] - n_kept),
         "n_samples": str(n_kept),
+        "n_sources": str(len(pairs)),
     }
-    for split in Split:
-        for cls in CLASS_ORDER:
-            manifest[_count_key(split, cls)] = str(counts[split, cls])
-    manifest["n_sources"] = str(len(pairs))
     for i, source_id in enumerate(source_ids):
         manifest[f"source.{i}.id"] = source_id
         manifest[f"source.{i}.ambiguous"] = "1" if ambiguous[i] else "0"

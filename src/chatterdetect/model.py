@@ -32,7 +32,7 @@ import logging
 import math
 import struct
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -451,9 +451,9 @@ def _backward(layers, probs, y, ctxs) -> None:
 def check_config(model: ClassifierModel, config: SpectralConfig) -> None:
     """Raise FeatureMismatch unless frames made with `config` fit `model`:
     all but the hop, which only spaces the frames, must be the model's."""
-    wrong = [f"{name} {getattr(config, name)!r} (model: {getattr(model.config, name)!r})"
-             for name in ("window_s", "n_lines", "f_max_hz", "crop_db")
-             if getattr(config, name) != getattr(model.config, name)]
+    wrong = [f"{name} {value!r} (model: {getattr(model.config, name)!r})"
+             for name, value in asdict(config).items()
+             if name != "hop_s" and value != getattr(model.config, name)]
     if wrong:
         raise FeatureMismatch("frames do not fit the model: " + ", ".join(wrong))
 

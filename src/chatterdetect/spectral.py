@@ -17,7 +17,7 @@ to identical arrays before the FFT ever sees them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +57,9 @@ class SpectralConfig:
             raise ValueError("n_lines must be an integer")
         if not self.n_lines >= 2:
             raise ValueError("n_lines must be at least 2")
+        # plain Python numbers, the defaults' types, so any artifact's repr of one reads back
+        for field in fields(self):
+            object.__setattr__(self, field.name, type(field.default)(getattr(self, field.name)))
 
     def grid_hz(self) -> np.ndarray:
         """The uniform frequency grid: line 0 at 0 Hz, line n_lines-1 at f_max."""

@@ -333,12 +333,14 @@ def generate_corpus(
     def synthesize(i):
         signals[i] = generate(specs[i])
 
-    cpus.deal(synthesize, range(len(specs)), _SYNTH_SCRATCH_PER_SAMPLE * sample_count(duration_s))
+    n = sample_count(duration_s)
+    cpus.deal(synthesize, range(len(specs)), _SYNTH_SCRATCH_PER_SAMPLE * n)
+    end_s = n / SYNTH_SAMPLE_RATE_HZ  # the whole signal; duration_s only rounds to n samples
     return [
         CorpusItem(
             item_id=f"{spec.signal_class.token}-{i:04d}",
             signal=signal,
-            labels=LabelTrack((LabelInterval(0.0, spec.duration_s, spec.signal_class),)),
+            labels=LabelTrack((LabelInterval(0.0, end_s, spec.signal_class),)),
             ambiguous=ambiguous,
             spec=spec,
         )

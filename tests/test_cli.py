@@ -282,10 +282,22 @@ def test_malformed_corpus_manifest_exits_2(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     assert run(["synth", "--out", str(corpus), "--per-class", "1",
                 "--rpm", "1800", "--seed", "0"]) == 0
+    extract = ["extract", "--in", str(corpus), "--out", str(tmp_path / "ds"), "--seed", "0"]
     (corpus / "corpus.json").write_text("[]")
-    assert run(["extract", "--in", str(corpus), "--out", str(tmp_path / "ds"),
-                "--seed", "0"]) == 2
+    assert run(extract) == 2
     assert "IoFailure" in capsys.readouterr().err
+
+    # without a manifest, every WAV needs its label file, and there must be a WAV
+    (corpus / "corpus.json").unlink()
+    next(corpus.glob("*.labels.csv")).unlink()
+    assert run(extract) == 2
+    err = capsys.readouterr().err
+    assert "missing label file for " in err and "Traceback" not in err
+    for wav in corpus.glob("*.wav"):
+        wav.unlink()
+    assert run(extract) == 2
+    err = capsys.readouterr().err
+    assert "no corpus manifest and no WAV files" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_1(capsys):
@@ -294,6 +306,9 @@ def test_usage_errors_exit_1(capsys):
     assert run(["eval", "--model", "m", "--data", "d", "--split", "weird",
                 "--out", "r"]) == 1                   # bad choice
     capsys.readouterr()
+    assert run(["train", "--data", "d", "--out", "m", "--batch", "two"]) == 1  # not a number
+    err = capsys.readouterr().err
+    assert "invalid value 'two'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -348,9 +363,28 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys):
     assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1
     assert "epoch" in capsys.readouterr().err
 
+    config.write_text("# one epoch\nepochs\n")
+    assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}:2: expected key=value" in err and "Traceback" not in err
+
     config.write_bytes(b"\xffepochs=1\n")
     assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_eval_of_an_empty_split_exits_2_and_writes_no_report(tmp_path, capsys):
+    corpus, ds, model = tmp_path / "c", tmp_path / "d", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0  # no ambiguous recording
+    assert run(["extract", "--in", str(corpus), "--out", str(ds), "--seed", "0"]) == 0
+    cd.save_model(cd.build_model(0), model)
+    capsys.readouterr()
+    assert run(["eval", "--model", str(model), "--data", str(ds), "--split", "test2",
+                "--out", str(tmp_path / "report")]) == 2
+    err = capsys.readouterr().err
+    assert "EmptyDataset: split 'test2' is empty" in err and "Traceback" not in err
+    assert not (tmp_path / "report").exists()
 
 
 def test_missing_data_exits_2(tmp_path):
@@ -366,9 +400,9 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
                 "--test-frac", "0"]) == 0
 
     config = tmp_path / "run.cfg"
-    config.write_text("epochs=1\n")
+    config.write_text("# comments, blank lines and spacing are read past\n\n  epochs = 1  \n")
     model = tmp_path / "m.chmd"
-    assert run(["--config", str(config), "train", "--data", str(ds),
+    assert run([f"--config={config}", "train", "--data", str(ds),
                 "--out", str(model), "--seed", "0"]) == 0
     log = (tmp_path / "m.chmd.log.csv").read_text().splitlines()
     assert len(log) == 1 + 1  # header plus the single configured epoch

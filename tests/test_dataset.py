@@ -158,6 +158,21 @@ def test_save_load_round_trip(tmp_path, small_dataset):
     assert back == small_dataset
 
 
+def test_numpy_scalar_config_round_trips(tmp_path):
+    # the config holds plain numbers, so the reprs the manifest states read back
+    config = SpectralConfig(hop_s=np.float64(0.1), n_lines=np.int64(1024),
+                            crop_db=np.float32(20.0))
+    sig, track = one_chatter_signal()
+    ds = cd.build_dataset([(sig, track, False)], config, test_fraction=np.float64(0.2))
+    cd.save_dataset(ds, tmp_path / "ds")
+    back = cd.load_dataset(tmp_path / "ds")
+    assert back == ds
+    manifest = (tmp_path / "ds" / MANIFEST_FILE).read_text().splitlines()
+    assert "hop_s=0.1" in manifest and "test_fraction=0.2" in manifest
+    cd.save_model(cd.build_model(0, config), tmp_path / "m.chmd")
+    assert cd.load_model(tmp_path / "m.chmd").config == back.config
+
+
 @pytest.mark.parametrize("bad_id", ["a\nb", "a\r", "a\u2028b"])
 def test_source_id_holding_a_manifest_separator_is_rejected(bad_id):
     # the manifest is read line by line, by str.splitlines

@@ -1,12 +1,14 @@
 import logging
 import math
 import os
+import re
 import struct
 import sys
 import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,11 +17,11 @@ import chatterdetect as cd
 import chatterdetect.cpus as cpus_module
 from chatterdetect.dataset import Split
 from chatterdetect.errors import (
-    CorruptModel, EmptyDataset, MissingClass, NonFiniteSamples, TrainingDiverged,
-    WrongInputLength,
+    CorruptModel, EmptyDataset, FeatureMismatch, MissingClass, NonFiniteSamples,
+    TrainingDiverged, WrongInputLength,
 )
 from chatterdetect.model import (
-    _INFER_BLOCK, MODEL_VERSION, _cross_entropy, _eval_arrays, _forward_batch,
+    _INFER_BLOCK, MODEL_VERSION, _cross_entropy, _eval_arrays, _forward_batch, check_config,
 )
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 
@@ -439,6 +441,19 @@ def test_model_file_keeps_the_config_and_dropout_at_full_precision(tmp_path):
     assert back.config == config and back.dropout_rate == 0.1
     assert (back.n_inputs, back.input_floor_db) == (512, -20.1)
     assert np.array_equal(back.flat, model.flat)
+
+
+def test_check_config_exempts_only_the_hop():
+    # the hop only spaces the frames; every other field shapes them
+    model = cd.build_model(0)
+    changed = {"hop_s": 0.05, "window_s": 0.05, "n_lines": 512, "f_max_hz": 2000.0,
+               "crop_db": 30.0}
+    assert changed.keys() == asdict(model.config).keys()
+    check_config(model, replace(model.config, hop_s=0.05))
+    for field in changed.keys() - {"hop_s"}:
+        message = f"model: {field} {changed[field]!r} (model: {getattr(model.config, field)!r})"
+        with pytest.raises(FeatureMismatch, match=re.escape(message) + "$"):
+            check_config(model, replace(model.config, **{field: changed[field]}))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -208,6 +208,19 @@ def test_corpus_round_trip_via_directory(tmp_path, small_corpus):
         assert np.max(np.abs(a.signal.samples - b.signal.samples)) <= 1.0 / 32768
 
 
+@pytest.mark.parametrize("duration_s, n_frames", [(0.99999, 10), (0.0999996, 1)])
+def test_labels_cover_the_whole_signal(tmp_path, duration_s, n_frames):
+    # duration_s rounds to 22 050 and 2 205 samples, so the labels must end
+    # at 1.0 s and 0.1 s for the last frame to fit them
+    items = cd.generate_corpus(1, 0.0, [1800], seed=2, duration_s=duration_s)
+    cd.write_corpus(items, tmp_path)
+    for corpus in (items, cd.read_corpus(tmp_path)):
+        pairs = [(it.signal, it.labels, it.ambiguous) for it in corpus]
+        ds = cd.build_dataset(pairs, CFG, test_fraction=0.0)
+        assert ds.manifest["dropped_frames"] == "0"
+        assert len(ds) == len(corpus) * n_frames
+
+
 def test_spec_dict_lists_class_then_fields_in_order():
     spec = cd.SynthSpec(cd.MachiningClass.MACHINING_NO_CHATTER, 1800.5, 4, 955.25,
                         chatter_ratio=2.5, seed=7, ambiguity=0.2)
