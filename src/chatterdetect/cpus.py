@@ -2,16 +2,17 @@
 
 Inference, corpus synthesis and dataset extraction each call `deal` on
 independent items whose results land in places chosen by the caller, so
-the outputs keep their bytes whatever the number of threads. The calling
-thread runs one share; short-lived helpers, bound off the caller's CPU,
-run the rest. A scratch budget keeps the items in flight within a fixed
-amount of memory, so a long signal is not held once per CPU.
+the outputs keep their bytes whatever the number of threads. The caller
+and short-lived helpers, bound off the caller's CPU, take the items in
+order from one queue. A scratch budget keeps the items in flight within
+a fixed amount of memory, so a long signal is not held once per CPU.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 # The most scratch memory the items of one `deal` call may hold at once,
@@ -41,14 +42,14 @@ def other_cpus() -> set[int] | None:
 def deal(fn, items, item_bytes: int) -> None:
     """Call fn(item) for every item, on up to cpu_count() threads.
 
-    The items are dealt round-robin: with w threads, share j holds items
-    j, j + w, ... in order, and the calling thread runs share 0. w is also
-    capped by the item count and by SCRATCH_BUDGET // item_bytes, where
-    item_bytes is the most scratch memory one call of fn holds. A single
-    thread runs the items in order and starts no helper; helpers are gone
-    before this returns. If calls fail, the exception of the lowest
-    failing item is raised: the one a serial loop would raise, as a share
-    stops at its first failure and runs its items in order.
+    Each thread, the caller's included, takes the next untaken item until
+    none is left, so a costly item or a slow CPU leaves no thread idle.
+    The threads are also capped by the item count and by SCRATCH_BUDGET //
+    item_bytes, where item_bytes is the most scratch memory one call of fn
+    holds. A single thread starts no helper; helpers are gone before this
+    returns. If calls fail, the lowest failing item's exception is raised,
+    as in a serial loop: items are taken in order, a thread stops at its
+    first failure, and every item taken runs, so all before it passed.
     """
     items = list(items)
     workers = max(1, min(cpu_count(), len(items), SCRATCH_BUDGET // max(item_bytes, 1)))
@@ -56,9 +57,11 @@ def deal(fn, items, item_bytes: int) -> None:
         for item in items:
             fn(item)
         return
+    untaken = iter(range(len(items)))
+    taking = threading.Lock()  # next() alone is not atomic on free-threaded builds
 
-    def run(share, cpus=None):
-        """(index, exception) of the share's first failing item, or None."""
+    def run(cpus=None):
+        """(index, exception) of the thread's first failing item, or None."""
         if cpus:
             # a scheduler that does not balance load can start the helper
             # on the caller's CPU and leave it there; on Linux, pid 0 binds
@@ -67,18 +70,20 @@ def deal(fn, items, item_bytes: int) -> None:
                 os.sched_setaffinity(0, cpus)
             except OSError:  # the placement is only a hint
                 pass
-        for i in share:
+        while True:
+            with taking:
+                i = next(untaken, None)
+            if i is None:
+                return None
             try:
                 fn(items[i])
             except Exception as exc:  # re-raised below if no earlier item failed
                 return i, exc
-        return None
 
-    shares = [range(j, len(items), workers) for j in range(workers)]
     with ThreadPoolExecutor(workers - 1) as pool:
         cpus = other_cpus()
-        helpers = [pool.submit(run, share, cpus) for share in shares[1:]]
-        failures = [run(shares[0])] + [helper.result() for helper in helpers]
+        helpers = [pool.submit(run, cpus) for _ in range(workers - 1)]
+        failures = [run()] + [helper.result() for helper in helpers]
     failures = [failure for failure in failures if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -56,8 +56,6 @@ class Hyperparameters:
     learning_rate: float = defaults.LEARNING_RATE
     epochs: int = defaults.EPOCHS
     dropout_rate: float = defaults.DROPOUT_RATE
-    rho: float = defaults.RMSPROP_RHO
-    epsilon: float = defaults.RMSPROP_EPSILON
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -75,10 +73,6 @@ class Hyperparameters:
             raise ValueError("learning_rate must be finite and non-negative")
         if not 0 <= self.dropout_rate < 1:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if not 0 <= self.rho < 1:
-            raise ValueError("rho must lie in [0, 1)")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be finite and positive")
 
 
 @dataclass
@@ -568,23 +562,23 @@ def _rmsprop_step(p, g, cache, scratch, hp: Hyperparameters) -> None:
     dtype's smallest normal number `tiny` are set to 0, as entries whose
     gradient stays zero would decay into subnormals, on which x86
     multiplies and square roots run many times slower. The parameters do
-    not change: in float32 sqrt(tiny), about 1.1e-19, adds nothing to
-    eps = 1e-7 in sqrt(cache) + eps, and a flushed entry could differ later
-    only under a gradient with |g| below about 1e-15."""
+    not change, as eps is fixed at 1e-7: in float32 sqrt(tiny), about
+    1.1e-19, adds nothing to it in sqrt(cache) + eps, and a flushed entry
+    could differ later only under a gradient with |g| below about 1e-15."""
     tiny = np.finfo(p.dtype).tiny
     for lo in range(0, p.size, _RMSPROP_BLOCK):
         hi = min(lo + _RMSPROP_BLOCK, p.size)
         pb, gb, cb = p[lo:hi], g[lo:hi], cache[lo:hi]
         tmp, denom, normal = (s[: hi - lo] for s in scratch)
-        cb *= hp.rho
+        cb *= defaults.RMSPROP_RHO
         np.greater_equal(cb, tiny, out=normal)
         cb *= normal
-        np.multiply(gb, 1.0 - hp.rho, out=tmp)
+        np.multiply(gb, 1.0 - defaults.RMSPROP_RHO, out=tmp)
         tmp *= gb
         cb += tmp
         np.multiply(gb, hp.learning_rate, out=tmp)
         np.sqrt(cb, out=denom)
-        denom += hp.epsilon
+        denom += defaults.RMSPROP_EPSILON
         tmp /= denom
         pb -= tmp
 

@@ -6,6 +6,7 @@ states the class set."""
 import re
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -68,18 +69,33 @@ def mixed_pairs(items):
     return pairs
 
 
-def test_items_are_dealt_round_robin_and_the_caller_runs_share_0(monkeypatch):
+def test_items_are_taken_in_order_from_one_queue(monkeypatch):
     monkeypatch.setattr(cpus_module, "cpu_count", lambda: 3)
-    ran = []
-    cpus_module.deal(lambda i: ran.append((i, threading.current_thread())), range(8), 1)
-    threads = {}
-    for i, thread in ran:
-        threads.setdefault(i % 3, set()).add(thread)
-    assert sorted(i for i, _ in ran) == list(range(8))
-    assert threads[0] == {threading.main_thread()}
-    assert threading.main_thread() not in threads[1] | threads[2]
-    for share in range(3):  # each share runs its items in order
-        assert [i for i, _ in ran if i % 3 == share] == list(range(share, 8, 3))
+    events, lock = [], threading.Lock()
+
+    def record(i):
+        with lock:
+            events.append(("start", i, threading.current_thread()))
+        if i == 0:  # a costly first item: the other threads go on taking
+            time.sleep(0.05)
+        with lock:
+            events.append(("end", i, threading.current_thread()))
+
+    cpus_module.deal(record, range(8), 1)
+    starts = [(i, thread) for kind, i, thread in events if kind == "start"]
+    assert sorted(i for i, _ in starts) == list(range(8))  # each item runs once
+    ended_at = {i: n for n, (kind, i, _) in enumerate(events) if kind == "end"}
+    by_thread = {}
+    for i, thread in starts:
+        by_thread.setdefault(thread, []).append(i)
+    for run in by_thread.values():
+        assert run == sorted(run)  # each thread runs its items in order
+        # a thread takes its next item after its last one ended, and so
+        # after every item that had started by then was taken: as the
+        # queue hands out items in order, the next one is above them all
+        for last, following in zip(run, run[1:]):
+            assert all(i < following for kind, i, _ in events[: ended_at[last]]
+                       if kind == "start")
 
 
 @pytest.mark.parametrize("n_items, item_bytes", [(1, 1), (5, cpus_module.SCRATCH_BUDGET)])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import chatterdetect as cd
+from chatterdetect.defaults import RMSPROP_EPSILON, RMSPROP_RHO
 from chatterdetect.model import (
     _RMSPROP_BLOCK, Conv1D, Dense, MaxPool1D, _rmsprop_scratch, _rmsprop_step,
 )
@@ -146,15 +147,12 @@ def test_dense_backward_matches_reference(n_in, n_out, batch):
 
 def rmsprop_reference(p, g, cache, hp):
     """Per-tensor RMSprop update, in place on p and cache."""
-    cache *= hp.rho
-    cache += (1.0 - hp.rho) * g * g
-    p -= hp.learning_rate * g / (np.sqrt(cache) + hp.epsilon)
+    cache *= RMSPROP_RHO
+    cache += (1.0 - RMSPROP_RHO) * g * g
+    p -= hp.learning_rate * g / (np.sqrt(cache) + RMSPROP_EPSILON)
 
 
-@pytest.mark.parametrize(
-    "hp",
-    [cd.Hyperparameters(), cd.Hyperparameters(learning_rate=3e-3, rho=0.95, epsilon=1e-6)],
-)
+@pytest.mark.parametrize("hp", [cd.Hyperparameters(), cd.Hyperparameters(learning_rate=3e-3)])
 def test_flat_rmsprop_matches_per_tensor_update(hp):
     rng = np.random.default_rng(5)
     model = cd.build_model(5)
@@ -175,6 +173,26 @@ def test_flat_rmsprop_matches_per_tensor_update(hp):
         for (_, _, p), ref in zip(model.parameters(), ref_params):
             assert np.array_equal(p, ref), step
         assert np.array_equal(cache, np.concatenate([c.ravel() for c in ref_caches]))
+
+
+@pytest.mark.parametrize("p0", [0.5, 0.0])  # at 0 the update itself shows
+def test_rmsprop_flush_at_its_edge_moves_no_weight(p0):
+    # the first two entries decay just below tiny, and then a gradient
+    # whose (1 - rho)*g*g is normal lands on them: the flushed cache drops
+    # a subnormal term the unflushed one keeps, yet the weights agree
+    cache = np.array([1.1e-39 / 0.9, 5e-39 / 0.9, 1e-39, 1e-6], dtype=np.float32)
+    g = np.array([1e-18, 3e-18, 0.0, 1e-3], dtype=np.float32)
+    hp = cd.Hyperparameters()
+    p = np.full(4, p0, dtype=np.float32)
+    ref_p, ref_cache = p.copy(), cache.copy()
+    decayed = cache * np.float32(RMSPROP_RHO)
+    flushed = np.where(decayed < np.finfo(np.float32).tiny, np.float32(0), decayed)
+    _rmsprop_step(p, g, cache, _rmsprop_scratch(p), hp)
+    rmsprop_reference(ref_p, g, ref_cache, hp)
+    assert np.array_equal(p, ref_p)
+    assert np.array_equal(cache, flushed + (1.0 - RMSPROP_RHO) * g * g)
+    assert np.array_equal(cache != ref_cache, [True, True, True, False])
+    assert cache[2] == 0 and 0 < ref_cache[2] < np.finfo(np.float32).tiny
 
 
 def test_rmsprop_keeps_the_cache_out_of_subnormals():

@@ -12,6 +12,7 @@ import pytest
 
 import chatterdetect as cd
 from chatterdetect.dataset import Split
+from chatterdetect.defaults import RMSPROP_EPSILON, RMSPROP_RHO
 from chatterdetect.model import Dropout, EpochStats
 
 
@@ -73,9 +74,9 @@ def reference_train(model, ds, hp, caches):
             for i, name, p in params:
                 g = ctxs[i]["d" + name]
                 cache = caches[(i, name)]
-                cache *= hp.rho
-                cache += (1.0 - hp.rho) * g * g
-                p -= hp.learning_rate * g / (np.sqrt(cache) + hp.epsilon)
+                cache *= RMSPROP_RHO
+                cache += (1.0 - RMSPROP_RHO) * g * g
+                p -= hp.learning_rate * g / (np.sqrt(cache) + RMSPROP_EPSILON)
 
         val_loss, val_acc = reference_eval(model, x_val, y_val)
         model.training_log.append(
@@ -134,15 +135,17 @@ def test_reloaded_model_predicts_like_reference(trained_pair, small_dataset, tmp
 
 
 def test_train_matches_reference_once_the_cache_goes_subnormal(small_dataset):
-    # rho = 0.5 decays a cache entry past float32's tiny within a few
-    # epochs of 32 steps; the published 0.9 would need hundreds of steps
-    hp = cd.Hyperparameters(epochs=6, rho=0.5, rng_seed=19)
-    model, ref, caches = cd.build_model(19), cd.build_model(19), {}
+    # from a cache just above float32's tiny, rho = 0.9 decays an entry
+    # whose gradient stays zero past tiny within four steps
+    tiny = np.finfo(np.float32).tiny
+    hp = cd.Hyperparameters(epochs=6, rng_seed=19)
+    model, ref = cd.build_model(19), cd.build_model(19)
+    model.rms_cache = np.full_like(model.flat, 1.5 * tiny)
+    caches = {(i, n): np.full_like(p, 1.5 * tiny) for i, n, p in ref.parameters()}
     cd.train(model, small_dataset, hp)
     reference_train(ref, small_dataset, hp, caches)
     assert_same(model, ref)
 
-    tiny = np.finfo(np.float32).tiny
     ref_cache = np.concatenate([caches[(i, n)].ravel() for i, n, _ in ref.parameters()])
     ref_subnormal = (ref_cache > 0) & (ref_cache < tiny)
     assert ref_subnormal.sum() > 1000
