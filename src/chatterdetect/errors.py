@@ -21,11 +21,12 @@ class MalformedContainer(ChatterError):
 
 class UnsupportedEncoding(ChatterError):
     """WAV encoding other than 16-bit PCM or 32-bit IEEE float, or a sample
-    rate too high for `save_wav`'s 16-bit PCM header."""
+    rate or sample count that `save_wav`'s 16-bit PCM header cannot hold."""
 
 
 class SampleRateTooLow(ChatterError):
-    """Sample rate cannot cover the 0-2500 Hz analysis band."""
+    """Sample rate is not positive (zero in a WAV header); a band the rate
+    cannot cover is `BandExceedsNyquist`."""
 
 
 class NonFiniteSamples(ChatterError):

@@ -45,7 +45,6 @@ class PerClassMetrics:
     recall: float
     f1: float
     support: int
-    zero_division: bool = False
 
 
 @dataclass(frozen=True)
@@ -53,14 +52,9 @@ class ClassMetrics:
     per_class: dict[MachiningClass, PerClassMetrics]
     accuracy: float
 
-    @property
-    def macro_recall(self) -> float:
-        return float(np.mean([m.recall for m in self.per_class.values()]))
-
 
 @dataclass(frozen=True)
 class RocCurve:
-    positive_class: MachiningClass
     fpr: np.ndarray
     tpr: np.ndarray
     auc: float
@@ -104,13 +98,10 @@ def class_metrics(cm: ConfusionMatrix) -> ClassMetrics:
     for cls in CLASS_ORDER:
         i = int(cls)
         col, row = int(counts[:, i].sum()), int(counts[i, :].sum())
-        zero_division = col == 0 or row == 0
         precision = counts[i, i] / col if col else 0.0
         recall = counts[i, i] / row if row else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class[cls] = PerClassMetrics(
-            float(precision), float(recall), float(f1), row, zero_division
-        )
+        per_class[cls] = PerClassMetrics(float(precision), float(recall), float(f1), row)
     accuracy = float(np.trace(counts) / cm.total)
     return ClassMetrics(per_class, accuracy)
 
@@ -146,7 +137,7 @@ def roc(probabilities, labels, positive_class: MachiningClass) -> RocCurve:
     tpr = np.r_[0.0, tp[last_of_group] / n_pos]
     fpr = np.r_[0.0, fp[last_of_group] / n_neg]
     auc = float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0))
-    return RocCurve(positive_class, fpr, tpr, auc)
+    return RocCurve(fpr, tpr, auc)
 
 
 def build_report(

@@ -4,7 +4,7 @@ Architecture: conv(k7, 16ch) -> relu -> maxpool4 -> conv(k5, 32ch) ->
 relu -> maxpool4 -> flatten -> dense 128 -> relu -> dropout -> dense 64
 -> relu -> dense 3 -> softmax. Trained with RMSprop on categorical
 cross-entropy; weights are float32, and gradient verification runs on a
-float64 clone.
+float64 copy.
 
 All weights live in one flat vector, ``ClassifierModel.flat``, in the
 order ``parameters()`` lists them; each layer's ``w`` and ``b`` are views
@@ -282,12 +282,6 @@ class ClassifierModel:
 
     def parameter_count(self) -> int:
         return self.flat.size
-
-    def clone(self, dtype=None) -> "ClassifierModel":
-        """Structural copy; optionally casts the weights (float64 for checks)."""
-        layers = _network(self.n_inputs, self.dropout_rate)
-        flat = self.flat.astype(dtype or self.flat.dtype)
-        return ClassifierModel(layers, self.seed, self.config, flat)
 
 
 def _parameter_total(layers) -> int:
@@ -587,14 +581,13 @@ def gradient_check(
     model: ClassifierModel,
     lines,
     label: MachiningClass,
-    step: float = 1e-3,
-    n_params: int = 200,
     seed: int = 0,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Runs on a float64 clone with dropout disabled; samples at least
-    n_params parameters spread across every weight and bias tensor.
+    Runs on a float64 copy with dropout disabled, probing by +-1e-3;
+    samples at least 200 parameters spread across every weight and bias
+    tensor, and `seed` picks which.
 
     A ReLU/maxpool kink inside the +-step interval makes the central
     difference meaningless for any implementation, so parameters whose
@@ -604,7 +597,9 @@ def gradient_check(
     are kept, so a degenerate input yields a finite (if large) error
     rather than a silent pass.
     """
-    m = model.clone(np.float64)
+    m = ClassifierModel(_network(model.n_inputs, model.dropout_rate), model.seed,
+                        model.config, model.flat.astype(np.float64))
+    step = 1e-3
     x = np.asarray(lines, dtype=np.float64).reshape(1, -1)
     if x.shape[1] != m.n_inputs:
         raise WrongInputLength(f"expected {m.n_inputs} values, got {x.shape[1]}")
@@ -630,7 +625,7 @@ def gradient_check(
 
     rng = np.random.default_rng(seed)
     tensors = m.parameters()
-    quota = max(1, int(np.ceil(n_params / len(tensors))))
+    quota = max(1, int(np.ceil(200 / len(tensors))))
     worst = 0.0
     for i, name, p in tensors:
         order = rng.permutation(p.size)

@@ -30,8 +30,10 @@ from .errors import (
     write_lines,
 )
 
-MIN_SAMPLE_RATE_HZ = 5000.0  # Nyquist must cover the 2500 Hz analysis band
 PCM16_SCALE = 32768
+# the most samples one PCM16 WAV data chunk holds: its 32-bit RIFF size
+# field counts 36 header bytes besides the data
+MAX_WAV_SAMPLES = (2**32 - 37) // 2
 
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
@@ -83,11 +85,8 @@ class TimeSignal:
             raise NonFiniteSamples("samples must be finite (no NaN or infinity)")
         if not np.isfinite(self.sample_rate_hz):
             raise NonFiniteSamples(f"sample rate {self.sample_rate_hz} Hz is not finite")
-        if self.sample_rate_hz < MIN_SAMPLE_RATE_HZ:
-            raise SampleRateTooLow(
-                f"sample rate {self.sample_rate_hz} Hz is below the "
-                f"{MIN_SAMPLE_RATE_HZ:g} Hz minimum"
-            )
+        if not self.sample_rate_hz > 0:
+            raise SampleRateTooLow(f"sample rate {self.sample_rate_hz} Hz is not positive")
 
 
 @dataclass(frozen=True)
@@ -173,8 +172,6 @@ def load_wav(path) -> TimeSignal:
         raise MalformedContainer(
             f"{path}: block_align {block_align} does not hold {n_channels} {bits}-bit sample(s)"
         )
-    if rate < MIN_SAMPLE_RATE_HZ:
-        raise SampleRateTooLow(f"{path}: {rate} Hz is below {MIN_SAMPLE_RATE_HZ:g} Hz")
 
     usable = len(data) - len(data) % block_align
     raw = np.frombuffer(data[:usable], dtype=dtype)
@@ -191,13 +188,18 @@ def load_wav(path) -> TimeSignal:
 
 def save_wav(signal: TimeSignal, path) -> None:
     """Write a TimeSignal as mono 16-bit PCM. Samples must lie in [-1, 1],
-    and the rate must fit the header: 2 bytes a sample, as a u32 byte rate."""
+    and the header must hold the rate (2 bytes a sample, as a u32 byte
+    rate) and the size (at most MAX_WAV_SAMPLES samples)."""
     rate = int(round(signal.sample_rate_hz))
-    if rate * 2 > 0xFFFFFFFF:
+    if not 0 < rate * 2 <= 0xFFFFFFFF:
         raise UnsupportedEncoding(
-            f"sample rate {rate} Hz exceeds 16-bit PCM's {0xFFFFFFFF // 2} Hz maximum"
+            f"sample rate {rate} Hz is outside 16-bit PCM's 1 to {0xFFFFFFFF // 2} Hz"
         )
     x = np.asarray(signal.samples, dtype=np.float64)
+    if x.size > MAX_WAV_SAMPLES:
+        raise UnsupportedEncoding(
+            f"{x.size} samples exceed 16-bit PCM's {MAX_WAV_SAMPLES}-sample maximum"
+        )
     # unlike abs(x).max(), this needs no array as large as the signal
     peak = float(max(x.max(), -x.min()))
     if peak > 1.0:

@@ -77,7 +77,7 @@ class SpectralFrame:
 
 def frame_counts(n_samples: int, sample_rate_hz: float, config: SpectralConfig):
     """(hop, window) in samples for this rate, plus how many frames fit.
-    Also checks the FFT length, so callers can size their output first."""
+    Also checks the band and the FFT length, so callers can size their output first."""
     # capped so a product past float range still rounds (to one frame, or FftTooLong)
     hop_n = int(round(min(config.hop_s * sample_rate_hz, 2.0**62)))
     window_n = int(round(min(config.window_s * sample_rate_hz, 2.0**62)))
@@ -124,6 +124,10 @@ def _canonical_window(window: np.ndarray) -> np.ndarray:
 
 
 def _n_fft(window_n: int, sample_rate_hz: float, config: SpectralConfig) -> int:
+    if config.f_max_hz > sample_rate_hz / 2:
+        raise BandExceedsNyquist(
+            f"f_max {config.f_max_hz:g} Hz exceeds Nyquist {sample_rate_hz / 2:g} Hz"
+        )
     # Smallest power of two whose raw bin spacing is at most the output
     # grid spacing, so the grid resampling never skips a bin.
     grid_df = config.f_max_hz / (config.n_lines - 1)
@@ -146,19 +150,6 @@ def prepare_window(
     return out
 
 
-def complex_spectrum(
-    window: np.ndarray, sample_rate_hz: float, config: SpectralConfig = SpectralConfig()
-):
-    """Full complex FFT of the prepared window, with its frequency axis.
-
-    Exposed for verification (Parseval checks and the like); the pipeline
-    itself uses the one-sided transform in magnitude_spectrum.
-    """
-    x = prepare_window(window, sample_rate_hz, config)
-    freqs = np.fft.fftfreq(x.shape[-1], d=1.0 / sample_rate_hz)
-    return freqs, np.fft.fft(x)
-
-
 @lru_cache(maxsize=8)
 def _axes(n_fft: int, sample_rate_hz: float, config: SpectralConfig):
     """The rfft bin frequencies the line grid reads, and the grid, made
@@ -176,10 +167,6 @@ def magnitude_spectrum(
     window: np.ndarray, sample_rate_hz: float, config: SpectralConfig = SpectralConfig()
 ) -> np.ndarray:
     """FFT magnitudes of each row linearly interpolated onto the line grid."""
-    if config.f_max_hz > sample_rate_hz / 2:
-        raise BandExceedsNyquist(
-            f"f_max {config.f_max_hz:g} Hz exceeds Nyquist {sample_rate_hz / 2:g} Hz"
-        )
     window = np.asarray(window, dtype=np.float64)
     if window.size == 0:
         raise ValueError("window must be non-empty")

@@ -33,6 +33,7 @@ from . import cpus, defaults
 from .errors import ChatterError, InfeasibleSpec, IoFailure, make_dir, read_text, write_lines
 from .signal_io import (
     CLASS_ORDER,
+    MAX_WAV_SAMPLES,
     LabelInterval,
     LabelTrack,
     MachiningClass,
@@ -70,22 +71,18 @@ MANIFEST_NAME = "corpus.json"
 # arrays at most (the time axis, blend parts, sine and blend temporaries)
 _SYNTH_SCRATCH_PER_SAMPLE = 48
 
-# the most samples one PCM16 WAV data chunk holds: its 32-bit RIFF size
-# field counts 36 header bytes besides the data
-MAX_SYNTH_SAMPLES = (2**32 - 37) // 2
-
 
 def sample_count(duration_s: float) -> int:
     """Samples in a synthesized signal of duration_s seconds.
 
-    Raises ValueError unless that rounds to 1 to MAX_SYNTH_SAMPLES."""
+    Raises ValueError unless that rounds to 1 to MAX_WAV_SAMPLES."""
     x = duration_s * SYNTH_SAMPLE_RATE_HZ
-    # exactly 1 <= round(x) <= MAX_SYNTH_SAMPLES (odd, so its + 0.5 rounds up),
+    # exactly 1 <= round(x) <= MAX_WAV_SAMPLES (odd, so its + 0.5 rounds up),
     # and false for NaN
-    if not 0.5 < x < MAX_SYNTH_SAMPLES + 0.5:
+    if not 0.5 < x < MAX_WAV_SAMPLES + 0.5:
         raise ValueError(
             f"duration_s {duration_s:g} rounds to no sample or to more than "
-            f"{MAX_SYNTH_SAMPLES} at {SYNTH_SAMPLE_RATE_HZ:g} Hz"
+            f"{MAX_WAV_SAMPLES} at {SYNTH_SAMPLE_RATE_HZ:g} Hz"
         )
     return round(x)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chatterdetect as cd
@@ -265,6 +266,29 @@ def test_predict_frames_with_the_models_config(tmp_path, capsys, config):
     cd.save_model(cd.build_model(1, config), model)
     wav = next(corpus.glob("chatter-*.wav"))
     assert_predict_runs_on_the_models_frames(tmp_path, capsys, model, wav)
+
+
+def test_predict_takes_any_rate_whose_nyquist_covers_the_models_band(tmp_path, capsys):
+    # a 4 kHz recording covers 0-1500 Hz but not the default 0-2500 Hz
+    wav, model = tmp_path / "slow.wav", tmp_path / "m.chmd"
+    tone = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(4000) / 4000.0)
+    cd.save_wav(cd.TimeSignal(tone, 4000.0), wav)
+    cd.save_model(cd.build_model(1, cd.SpectralConfig(f_max_hz=1500.0)), model)
+    assert_predict_runs_on_the_models_frames(tmp_path, capsys, model, wav)
+
+    cd.save_model(cd.build_model(1), model)
+    assert run(["predict", "--model", str(model), "--wav", str(wav)]) == 2
+    out, err = capsys.readouterr()
+    assert "BandExceedsNyquist" in err and "Traceback" not in err
+    assert out == ""
+
+    blob = bytearray(wav.read_bytes())
+    struct.pack_into("<II", blob, 24, 0, 0)  # sample rate and byte rate in the fmt chunk
+    wav.write_bytes(bytes(blob))
+    assert run(["predict", "--model", str(model), "--wav", str(wav)]) == 2
+    out, err = capsys.readouterr()
+    assert "SampleRateTooLow" in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_emit_frames_onto_an_existing_file_exits_2(tmp_path, capsys):

@@ -101,7 +101,6 @@ def test_zero_denominator_flagged():
     counts = np.array([[5, 0, 0], [3, 0, 0], [0, 0, 0]])
     metrics = cd.class_metrics(cd.ConfusionMatrix(counts))
     rotation = metrics.per_class[MachiningClass.ROTATION_NO_MACHINING]
-    assert rotation.zero_division
     assert rotation.precision == rotation.recall == rotation.f1 == 0.0
 
 
@@ -115,17 +114,18 @@ def test_accuracy_matches_direct_recount():
         assert metrics.accuracy == pytest.approx(float((preds == labels).mean()))
 
 
-def test_macro_recall_invariant_under_class_duplication():
+def test_per_class_recall_invariant_under_class_duplication():
     rng = np.random.default_rng(4)
     labels = rng.integers(0, 3, 60)
     preds = rng.integers(0, 3, 60)
-    base = cd.class_metrics(cd.confusion(preds.tolist(), labels.tolist())).macro_recall
+    base = cd.class_metrics(cd.confusion(preds.tolist(), labels.tolist())).per_class
     for cls in range(3):
         mask = labels == cls
         dup_labels = np.concatenate([labels, labels[mask], labels[mask]])
         dup_preds = np.concatenate([preds, preds[mask], preds[mask]])
         dup = cd.class_metrics(cd.confusion(dup_preds.tolist(), dup_labels.tolist()))
-        assert dup.macro_recall == pytest.approx(base, abs=1e-12)
+        for c, m in base.items():
+            assert dup.per_class[c].recall == pytest.approx(m.recall, abs=1e-12)
 
 
 def probs_from_scores(scores, cls=0):

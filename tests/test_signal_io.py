@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chatterdetect as cd
+from chatterdetect import signal_io
 from chatterdetect.errors import (
     AmplitudeOutOfRange,
     EmptyTrack,
@@ -76,11 +77,23 @@ def test_load_wav_float32(tmp_path):
     assert np.array_equal(sig.samples, values.astype(np.float64))
 
 
-def test_load_wav_rejects_low_rate(tmp_path):
+def test_load_wav_accepts_a_rate_below_the_default_band(tmp_path):
+    # whether a band fits under Nyquist is the spectral config's to decide
     path = tmp_path / "slow.wav"
     path.write_bytes(wav_bytes(4000, np.zeros(100, dtype="<i2").tobytes()))
-    with pytest.raises(SampleRateTooLow):
+    sig = cd.load_wav(path)
+    assert sig.sample_rate_hz == 4000.0
+    assert sig.samples.size == 100
+
+
+def test_load_wav_rejects_zero_rate(tmp_path):
+    path = tmp_path / "zero.wav"
+    path.write_bytes(wav_bytes(0, np.zeros(100, dtype="<i2").tobytes()))
+    with pytest.raises(SampleRateTooLow, match="0.0 Hz is not positive"):
         cd.load_wav(path)
+    for rate in (0.0, -22050.0):
+        with pytest.raises(SampleRateTooLow):
+            cd.TimeSignal(np.zeros(100), rate)
 
 
 def test_load_wav_rejects_garbage(tmp_path):
@@ -177,9 +190,29 @@ def test_save_wav_rate_beyond_the_header_is_unsupported(tmp_path):
         cd.save_wav(cd.TimeSignal(np.full(100, 0.1), 5e9), path)
     with pytest.raises(UnsupportedEncoding, match="sample rate 2147483648 Hz"):
         cd.save_wav(cd.TimeSignal(np.full(100, 0.1), 2.0**31), path)
+    # a positive rate that rounds to 0 Hz would write a header no reader accepts
+    with pytest.raises(UnsupportedEncoding, match="sample rate 0 Hz"):
+        cd.save_wav(cd.TimeSignal(np.full(100, 0.1), 0.4), path)
     assert not path.exists()
     cd.save_wav(cd.TimeSignal(np.full(100, 0.1), 2**31 - 1), path)
     assert cd.load_wav(path).sample_rate_hz == 2**31 - 1
+
+
+def test_wav_sample_limit_is_the_largest_the_riff_size_field_holds():
+    n = signal_io.MAX_WAV_SAMPLES
+    struct.pack("<I", 36 + 2 * n)
+    with pytest.raises(struct.error):
+        struct.pack("<I", 36 + 2 * (n + 1))
+
+
+def test_save_wav_beyond_the_sample_limit_writes_no_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(signal_io, "MAX_WAV_SAMPLES", 100)
+    path = tmp_path / "long.wav"
+    with pytest.raises(UnsupportedEncoding, match="101 samples exceed"):
+        cd.save_wav(cd.TimeSignal(np.full(101, 0.1), 22050.0), path)
+    assert not path.exists()
+    cd.save_wav(cd.TimeSignal(np.full(100, 0.1), 22050.0), path)
+    assert cd.load_wav(path).samples.size == 100
 
 
 def test_load_labels_single_interval(tmp_path):

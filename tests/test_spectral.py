@@ -8,7 +8,6 @@ from chatterdetect import spectral
 from chatterdetect.errors import BandExceedsNyquist, FftTooLong, WindowTooShort
 from chatterdetect.spectral import (
     SpectralConfig,
-    complex_spectrum,
     frame_lines_valid,
     prepare_window,
 )
@@ -59,6 +58,16 @@ def test_band_exceeds_nyquist():
         cd.magnitude_spectrum(np.ones(2205), FS, SpectralConfig(f_max_hz=20000))
 
 
+def test_a_rate_below_the_default_band_frames_under_a_band_it_covers():
+    sig = cd.TimeSignal(np.sin(2 * np.pi * 440.0 * np.arange(4000) / 4000.0), 4000.0)
+    frames = cd.extract_frames(sig, SpectralConfig(f_max_hz=1500.0))
+    assert len(frames) == 10
+    # a recording too short for one frame is refused too, not framed into none
+    for samples in (sig.samples, sig.samples[:300]):
+        with pytest.raises(BandExceedsNyquist, match="f_max 2500 Hz exceeds Nyquist 2000 Hz"):
+            cd.extract_frames(cd.TimeSignal(samples, 4000.0), CFG)
+
+
 @pytest.mark.parametrize(
     "config",
     [SpectralConfig(f_max_hz=0.001), SpectralConfig(n_lines=100_000_000),
@@ -107,7 +116,7 @@ def test_parseval_on_prepared_windows():
     for _ in range(20):
         window = rng.standard_normal(2205)
         x = prepare_window(window, FS, CFG)
-        _, spectrum = complex_spectrum(window, FS, CFG)
+        spectrum = np.fft.fft(x)
         time_energy = float(np.sum(x * x))
         freq_energy = float(np.sum(np.abs(spectrum) ** 2)) / x.size
         assert abs(time_energy - freq_energy) <= 1e-6 * time_energy
