@@ -1,5 +1,10 @@
 """Machining chatter detection from amplitude-renormalized vibration spectra."""
 
+# before any module that imports numpy, so that BLAS starts on one thread
+from . import cpus
+
+cpus.pin_blas_threads()
+
 from .dataset import (
     LabeledDataset,
     Split,

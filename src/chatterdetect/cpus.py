@@ -1,4 +1,5 @@
-"""The CPUs this process may use, and work dealt over them.
+"""The CPUs this process may use, its BLAS thread count, and work dealt
+over the CPUs.
 
 Inference, corpus synthesis and dataset extraction each call `deal` on
 independent items whose results land in places chosen by the caller, so
@@ -11,9 +12,17 @@ a fixed amount of memory, so a long signal is not held once per CPU.
 from __future__ import annotations
 
 import ctypes
+import glob
+import logging
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+
+log = logging.getLogger(__name__)
+
+# The variables that set a BLAS library's thread count.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # The most scratch memory the items of one `deal` call may hold at once,
 # counted as the threads running them times one item's scratch; one
@@ -29,6 +38,34 @@ def cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def pin_blas_threads() -> None:
+    """Run BLAS on one thread unless a BLAS_THREAD_VARS count is set.
+
+    A GEMM can round differently with its thread count (conv2's weight
+    gradient at batch 2 does under OpenBLAS), so without this a model's
+    bytes would depend on the CPUs it trained on; and a second BLAS
+    thread doubled training's CPU time for no wall-time gain on two CPUs.
+    Before numpy is loaded the variables are set; after, numpy's bundled
+    OpenBLAS is told through ctypes. A count the caller set is honoured.
+    """
+    if any(var in os.environ for var in BLAS_THREAD_VARS):
+        return
+    if "numpy" not in sys.modules:
+        for var in BLAS_THREAD_VARS:
+            os.environ[var] = "1"
+        return
+    libs = os.path.dirname(sys.modules["numpy"].__file__) + ".libs"
+    try:
+        (path,) = glob.glob(os.path.join(libs, "libscipy_openblas*"))
+        set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+    except (ValueError, OSError, AttributeError):  # no bundled OpenBLAS, or another interface
+        log.warning("numpy was loaded before chatterdetect and its BLAS thread count could "
+                    "not be set to 1; set OPENBLAS_NUM_THREADS=1 for thread-independent models")
+        return
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
 
 
 def other_cpus() -> set[int] | None:
@@ -52,8 +89,12 @@ def deal(fn, items, item_bytes: int) -> None:
     first failure, and every item taken runs, so all before it passed.
     """
     items = list(items)
-    workers = max(1, min(cpu_count(), len(items), SCRATCH_BUDGET // max(item_bytes, 1)))
-    if workers == 1:
+    # the CPU set is asked for only when more than one thread could run,
+    # so a stream window's inference, one item, does not pay for the call
+    workers = min(len(items), SCRATCH_BUDGET // max(item_bytes, 1))
+    if workers > 1:
+        workers = min(workers, cpu_count())
+    if workers <= 1:
         for item in items:
             fn(item)
         return

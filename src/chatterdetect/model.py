@@ -116,10 +116,9 @@ class Conv1D(Layer):
             ctx["patches"] = patches
             ctx["x_shape"] = x.shape
         y = patches @ self.w
-        # the bias along whole rows (views into y): one long inner loop per
+        # the bias repeated for every position: one long inner loop per
         # frame, not one c_out-wide loop per position
-        rows = y.reshape(batch, l_out * self.c_out)
-        rows += np.tile(self.b, l_out)
+        y += self.b[None].repeat(l_out, 0)
         return y
 
     def backward(self, dy, ctx):
@@ -150,7 +149,8 @@ class ReLU(Layer):
 
 
 class MaxPool1D(Layer):
-    """Non-overlapping max pooling; a trailing partial window is dropped.
+    """Non-overlapping max pooling over windows at least two wide; a
+    trailing partial window is dropped.
 
     Training records a mask of the first maximum in each window (argmax's
     tie rule), so the gradient reaches exactly one input per output."""
@@ -162,8 +162,8 @@ class MaxPool1D(Layer):
         batch, length, channels = x.shape
         l_out = length // self.width
         xt = x[:, : l_out * self.width, :].reshape(batch, l_out, self.width, channels)
-        y = xt[:, :, 0, :].copy()
-        for k in range(1, self.width):
+        y = np.maximum(xt[:, :, 0, :], xt[:, :, 1, :])
+        for k in range(2, self.width):
             np.maximum(y, xt[:, :, k, :], out=y)
         if ctx is not None:
             mask = xt == y[:, :, None, :]
@@ -180,8 +180,13 @@ class MaxPool1D(Layer):
     def backward(self, dy, ctx):
         mask = ctx["mask"]
         batch, l_out, width, channels = mask.shape
-        dx = np.zeros(ctx["x_shape"], dtype=dy.dtype)
-        np.copyto(dx[:, : l_out * width, :].reshape(mask.shape), dy[:, :, None, :], where=mask)
+        dx = np.empty(ctx["x_shape"], dtype=dy.dtype)
+        # the mask times each gradient's bits: those bits where it is set,
+        # -0.0 included, and +0.0 elsewhere, in one pass with no branch
+        bits = f"u{dy.itemsize}"
+        np.multiply(mask, dy.view(bits)[:, :, None, :],
+                    out=dx.view(bits)[:, : l_out * width, :].reshape(mask.shape))
+        dx[:, l_out * width :, :] = 0
         return dx
 
 

@@ -183,7 +183,10 @@ def load_wav(path) -> TimeSignal:
     if raw.size == 0:
         raise MalformedContainer(f"empty data chunk in {path}")
 
-    return TimeSignal(raw.astype(np.float64) * scale, float(rate))
+    try:
+        return TimeSignal(raw.astype(np.float64) * scale, float(rate))
+    except (NonFiniteSamples, SampleRateTooLow) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_wav(signal: TimeSignal, path) -> None:

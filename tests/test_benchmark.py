@@ -34,10 +34,11 @@ def test_benchmark_output_checks_pass(workload):
 # or layer method leaves its span, and so its metric, at 0
 TRACED_SPANS = {
     "ingest_eval": ["synth.generate_us", "spectral.magnitude_spectrum_us",
-                    "spectral.extract_frames_us", "model.predict_batch_us_per_frame",
-                    "model.conv1.fwd_us", "model.dense1.fwd_us"],
-    "stream_predict": ["spectral.magnitude_spectrum_us", "spectral.extract_frames_us",
-                       "model.conv1.fwd_us"],
+                    "spectral.renormalize_us", "spectral.extract_frames_us",
+                    "model.predict_batch_us_per_frame", "model.conv1.fwd_us",
+                    "model.dense1.fwd_us"],
+    "stream_predict": ["spectral.magnitude_spectrum_us", "spectral.renormalize_us",
+                       "spectral.extract_frames_us", "model.conv1.fwd_us"],
 }
 
 

@@ -3,7 +3,9 @@ simulated CPU count, bounded pools, no thread left behind, and one module
 that places threads. Beside that guard, one that `MachiningClass` alone
 states the class set."""
 
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -224,6 +226,37 @@ def test_only_the_cpus_module_places_threads():
         for path in sorted(PACKAGE.glob("*.py")) if path.name != "cpus.py"
     }
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+# A 1-epoch train at batch 2 whose conv2 weight gradient rounds differently
+# on two OpenBLAS threads; prints the model's sha256.
+TRAIN_ONE_EPOCH = """
+import hashlib, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import chatterdetect as cd
+items = cd.generate_corpus(4, 0.0, [1800, 3000], seed=5)
+ds = cd.build_dataset([(it.signal, it.labels, it.ambiguous) for it in items],
+                      split_seed=1, test_fraction=0.25, source_ids=[it.item_id for it in items])
+model = cd.train(cd.build_model(3), ds, cd.Hyperparameters(epochs=1, rng_seed=3))
+print(hashlib.sha256(model.flat.tobytes()).hexdigest())
+"""
+
+
+def train_digest(order, **blas_vars):
+    env = {k: v for k, v in os.environ.items() if k not in cpus_module.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent), env.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", TRAIN_ONE_EPOCH, order], env=env | blas_vars,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert "BLAS" not in proc.stderr  # the pin took effect
+    return proc.stdout
+
+
+# the package pins BLAS before numpy loads, or after through numpy's OpenBLAS
+@pytest.mark.parametrize("order", ["package-first", "numpy-first"])
+def test_training_is_pinned_to_one_blas_thread_unless_a_count_is_set(order):
+    assert train_digest(order) == train_digest(order, OPENBLAS_NUM_THREADS="1")
 
 
 def test_no_module_restates_the_class_count():

@@ -39,13 +39,17 @@ def test_frame_count_partial_tail_dropped():
     assert len(frames) == 9 == expected_frame_count(n)
 
 
-def test_frame_windows_cover_expected_samples():
+# abutting windows (the default), framed by a reshape, and overlapping
+# ones, framed by a strided view
+@pytest.mark.parametrize("hop_s", [0.1, 0.05])
+def test_frame_windows_cover_expected_samples(hop_s):
     sig = cd.TimeSignal(np.arange(22050, dtype=float), FS)
-    frames = cd.frame_signal(sig, CFG)
-    assert frames.shape == (10, 2205) and not frames.flags.writeable
+    hop_n = round(hop_s * FS)
+    frames = cd.frame_signal(sig, SpectralConfig(hop_s=hop_s))
+    assert frames.shape == (expected_frame_count(22050, hop_n=hop_n), 2205)
+    assert not frames.flags.writeable and np.shares_memory(frames, sig.samples)
     for k, window in enumerate(frames):
-        assert window[0] == k * 2205
-        assert window.size == 2205
+        assert np.array_equal(window, np.arange(k * hop_n, k * hop_n + 2205))
 
 
 def test_window_too_short():
@@ -188,12 +192,17 @@ def test_whole_recording_frames_equal_single_window_frames():
     x = 0.1 * np.random.default_rng(21).standard_normal(n_frames * 2205)
     x[3 * 2205 : 4 * 2205] = 0.0
     x[5 * 2205 : 6 * 2205] = np.sign(x[5 * 2205 : 6 * 2205])
-    frames = cd.extract_frames(cd.TimeSignal(x, FS), CFG)
-    assert len(frames) == n_frames
-    for k, frame in enumerate(frames):
-        (alone,) = cd.extract_frames(cd.TimeSignal(x[k * 2205 : (k + 1) * 2205], FS), CFG)
-        assert frame.frame_index == k and frame.t_start_s == k * 2205 / FS
-        assert frame.lines.tobytes() == alone.lines.tobytes()
+    # overlapping windows, and abutting ones, as a stream feeds them
+    for config in (SpectralConfig(hop_s=0.05), CFG):
+        hop_n = round(config.hop_s * FS)
+        frames = cd.extract_frames(cd.TimeSignal(x, FS), config)
+        assert len(frames) == expected_frame_count(x.size, hop_n=hop_n)
+        for k, frame in enumerate(frames):
+            window = cd.TimeSignal(x[k * hop_n : k * hop_n + 2205], FS)
+            (alone,) = cd.extract_frames(window, config)
+            assert frame.frame_index == k and frame.t_start_s == k * hop_n / FS
+            assert frame.lines.tobytes() == alone.lines.tobytes()
+    # the default's frame 3 is the all-zero window
     assert np.all(frames[3].lines == np.float32(-CFG.crop_db))
 
 
