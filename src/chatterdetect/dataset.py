@@ -186,10 +186,12 @@ def build_dataset(
 
     def extract(source):
         signal, track, _ = pairs[source]
-        window_s = framing[source][1] / signal.sample_rate_hz
+        hop_n, window_n, _ = framing[source]
         row = first[source]
         for frame in extract_frames(signal, config):
-            label = track.label_for_span(frame.t_start_s, frame.t_start_s + window_s)
+            # divided once, so a frame ending on the last sample ends at exactly n / rate
+            t_end_s = (frame.frame_index * hop_n + window_n) / signal.sample_rate_hz
+            label = track.label_for_span(frame.t_start_s, t_end_s)
             if label is not None:
                 records[row] = (source, frame.frame_index, frame.t_start_s, label, 0, 0,
                                 frame.lines)

@@ -250,6 +250,8 @@ def load_labels(path) -> LabelTrack:
 
 
 def save_labels(track: LabelTrack, path) -> None:
+    """Write a label CSV; each time is its repr, which reads back exactly."""
     write_lines(
-        path, [f"{iv.start_s:.6f},{iv.end_s:.6f},{iv.label.token}" for iv in track.intervals]
+        path, [f"{float(iv.start_s)!r},{float(iv.end_s)!r},{iv.label.token}"
+               for iv in track.intervals]
     )

@@ -284,7 +284,7 @@ def generate_corpus(
         raise ValueError("rpm_choices must be non-empty")
 
     n_ambiguous = round(n_per_class * ambiguous_fraction)
-    specs, ambiguity = [], []
+    specs = []
     index = 0
     for cls in CLASS_ORDER:
         for j in range(n_per_class):
@@ -306,8 +306,7 @@ def generate_corpus(
             scale = math.exp(rng.uniform(*np.log(AMPLITUDE_SCALE_RANGE)))
             sigma = rng.uniform(*NOISE_SIGMA_RANGE) if noise_sigma is None else noise_sigma
             ratio = rng.uniform(*CHATTER_RATIO_RANGE) if chatter_ratio is None else chatter_ratio
-            ambiguous = j < n_ambiguous
-            lam = rng.uniform(*AMBIGUITY_RANGE) if ambiguous else 0.0
+            lam = rng.uniform(*AMBIGUITY_RANGE) if j < n_ambiguous else 0.0
 
             spec = SynthSpec(
                 signal_class=cls,
@@ -322,7 +321,6 @@ def generate_corpus(
                 ambiguity=lam,
             )
             specs.append(spec)
-            ambiguity.append(ambiguous)
             index += 1
 
     signals = [None] * len(specs)
@@ -338,10 +336,10 @@ def generate_corpus(
             item_id=f"{spec.signal_class.token}-{i:04d}",
             signal=signal,
             labels=LabelTrack((LabelInterval(0.0, end_s, spec.signal_class),)),
-            ambiguous=ambiguous,
+            ambiguous=spec.ambiguity > 0,
             spec=spec,
         )
-        for i, (spec, signal, ambiguous) in enumerate(zip(specs, signals, ambiguity))
+        for i, (spec, signal) in enumerate(zip(specs, signals))
     ]
 
 
@@ -396,13 +394,15 @@ def read_corpus(in_dir) -> list[CorpusItem]:
                     str(rec["id"]),
                     src / rec["wav"],
                     src / rec["labels"],
-                    bool(rec["ambiguous"]),
+                    rec["ambiguous"],
                     spec_from_dict(rec["spec"]) if rec.get("spec") else None,
                 )
                 for rec in manifest["signals"]
             ]
-        # the wrong shape (TypeError), a missing key, or a spec value that
-        # its field's type or SynthSpec rejects
+            if not all(isinstance(ambiguous, bool) for _, _, _, ambiguous, _ in records):
+                raise TypeError("ambiguous must be a JSON boolean")  # bool("false") is True
+        # the wrong shape or a flag that is not a boolean (TypeError), a
+        # missing key, or a spec value that its field's type or SynthSpec rejects
         except (ValueError, KeyError, TypeError, ChatterError) as exc:
             raise IoFailure(f"cannot read {manifest_path}: {exc!r}") from exc
         return [

@@ -17,7 +17,7 @@ from chatterdetect import defaults
 from chatterdetect.cli import build_parser
 from chatterdetect.dataset import Split
 from chatterdetect.signal_io import MachiningClass
-from chatterdetect.spectral import SpectralConfig, prepare_window
+from chatterdetect.spectral import SpectralConfig, _n_fft, prepare_window
 
 CFG = SpectralConfig()
 
@@ -205,10 +205,11 @@ def test_criterion_6_fft_correctness():
     parseval_ok = True
     for _ in range(100):
         window = rng.standard_normal(2205)
-        x = prepare_window(window, 22050.0, CFG)
-        spectrum = np.fft.fft(x)
+        x = prepare_window(window)
+        n_fft = _n_fft(x.size, 22050.0, CFG)
+        spectrum = np.fft.fft(x, n=n_fft)
         lhs = float(np.sum(x * x))
-        rhs = float(np.sum(np.abs(spectrum) ** 2)) / x.size
+        rhs = float(np.sum(np.abs(spectrum) ** 2)) / n_fft
         if abs(lhs - rhs) > 1e-6 * lhs:
             parseval_ok = False
 

@@ -284,6 +284,17 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     cd.save_labels(track, path)
     assert cd.load_labels(path) == track
+    assert path.read_text() == "0.0,1.5,chatter\n1.5,2.0,rotation\n"
+    # times that six decimals would move: 22 057 / 22 050 s, a signal's end,
+    # would read back as 1.000317, before its last sample's end
+    track = cd.LabelTrack(
+        (
+            cd.LabelInterval(0.1 + 0.2, 22057 / 22050, cd.MachiningClass.CHATTER),
+            cd.LabelInterval(22057 / 22050, 2 + 1e-7, cd.MachiningClass.MACHINING_NO_CHATTER),
+        )
+    )
+    cd.save_labels(track, path)
+    assert cd.load_labels(path) == track
 
 
 def test_label_for_span_containment():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import chatterdetect as cd
-from chatterdetect.spectral import SpectralConfig, prepare_window
+from chatterdetect.spectral import SpectralConfig, _n_fft, prepare_window
 from chatterdetect.synth import (
     ROTATION_LEVEL, SIDEBAND_RATIO, SYNTH_SAMPLE_RATE_HZ, _harmonic_sum, _pick_chatter_tone,
 )
@@ -54,8 +54,11 @@ def generate_reference(spec):
 
 
 def magnitude_spectrum_reference(window, rate, config):
-    """np.abs of the whole rfft, then np.interp row by row over all bins."""
-    x = prepare_window(np.asarray(window, dtype=np.float64), rate, config)
+    """Rows zero-padded by hand, np.abs of the whole rfft, then np.interp
+    row by row over all bins."""
+    tapered = prepare_window(np.asarray(window, dtype=np.float64))
+    x = np.zeros(tapered.shape[:-1] + (_n_fft(tapered.shape[-1], rate, config),))
+    x[..., : tapered.shape[-1]] = tapered
     mags = np.abs(np.fft.rfft(x))
     freqs = np.fft.rfftfreq(x.shape[-1], d=1.0 / rate)
     grid = config.grid_hz()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,10 +121,11 @@ def test_parseval_on_prepared_windows():
     rng = np.random.default_rng(5)
     for _ in range(20):
         window = rng.standard_normal(2205)
-        x = prepare_window(window, FS, CFG)
-        spectrum = np.fft.fft(x)
+        x = prepare_window(window)
+        n_fft = spectral._n_fft(x.size, FS, CFG)  # the length the pipeline transforms
+        spectrum = np.fft.fft(x, n=n_fft)
         time_energy = float(np.sum(x * x))
-        freq_energy = float(np.sum(np.abs(spectrum) ** 2)) / x.size
+        freq_energy = float(np.sum(np.abs(spectrum) ** 2)) / n_fft
         assert abs(time_energy - freq_energy) <= 1e-6 * time_energy
 
 
@@ -204,6 +207,25 @@ def test_whole_recording_frames_equal_single_window_frames():
             assert frame.lines.tobytes() == alone.lines.tobytes()
     # the default's frame 3 is the all-zero window
     assert np.all(frames[3].lines == np.float32(-CFG.crop_db))
+
+
+@pytest.mark.parametrize("hop_s", [0.1, 0.05])
+@pytest.mark.parametrize("n_frames", [1, 10, 32, 100])
+def test_extract_scratch_bounds_the_extraction_peak(hop_s, n_frames):
+    # build_dataset sizes its threads by this figure, so it must not undercount
+    config = SpectralConfig(hop_s=hop_s)
+    hop_n, window_n, _ = spectral.frame_counts(0, FS, config)
+    x = 0.1 * np.random.default_rng(n_frames).standard_normal((n_frames - 1) * hop_n + window_n)
+    signal = cd.TimeSignal(x, FS)
+    cd.extract_frames(signal, config)  # fill the caches: the bound is per call
+    tracemalloc.start()
+    try:
+        frames = cd.extract_frames(signal, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == n_frames
+    assert peak < spectral.extract_scratch(window_n, n_frames, FS, config)
 
 
 def test_extract_frames_invariants(small_corpus):

@@ -208,10 +208,13 @@ def test_corpus_round_trip_via_directory(tmp_path, small_corpus):
         assert np.max(np.abs(a.signal.samples - b.signal.samples)) <= 1.0 / 32768
 
 
-@pytest.mark.parametrize("duration_s, n_frames", [(0.99999, 10), (0.0999996, 1)])
+@pytest.mark.parametrize(
+    "duration_s, n_frames", [(0.99999, 10), (0.0999996, 1), (0.3, 3), (1.2, 12), (3.3, 33)]
+)
 def test_labels_cover_the_whole_signal(tmp_path, duration_s, n_frames):
     # duration_s rounds to 22 050 and 2 205 samples, so the labels must end
-    # at 1.0 s and 0.1 s for the last frame to fit them
+    # at 1.0 s and 0.1 s for the last frame to fit them; at 0.3, 1.2 and
+    # 3.3 s the last frame's start plus 0.1 s rounds above the signal's end
     items = cd.generate_corpus(1, 0.0, [1800], seed=2, duration_s=duration_s)
     cd.write_corpus(items, tmp_path)
     for corpus in (items, cd.read_corpus(tmp_path)):
@@ -219,6 +222,23 @@ def test_labels_cover_the_whole_signal(tmp_path, duration_s, n_frames):
         ds = cd.build_dataset(pairs, CFG, test_fraction=0.0)
         assert ds.manifest["dropped_frames"] == "0"
         assert len(ds) == len(corpus) * n_frames
+
+
+def test_corpus_read_back_from_its_files_builds_the_same_dataset(tmp_path):
+    # the labels end at 22 057 / 22 050 s = 1.0003174... s, on the last
+    # frame's last sample; six decimals would end them before it
+    config = SpectralConfig(window_s=0.1003)
+    items = cd.generate_corpus(1, 0.0, [1800], seed=4, duration_s=22057 / 22050)
+    cd.write_corpus(items, tmp_path)
+    built = [
+        cd.build_dataset([(it.signal, it.labels, it.ambiguous) for it in corpus], config)
+        for corpus in (items, cd.read_corpus(tmp_path))
+    ]
+    assert built[0].manifest == built[1].manifest
+    assert built[0].manifest["dropped_frames"] == "0"
+    # the lines differ by the WAV's quantization; every other field is equal
+    for key in ["source", "frame_index", "t_start", "label", "split"]:
+        assert built[0].records[key].tobytes() == built[1].records[key].tobytes()
 
 
 def test_spec_dict_lists_class_then_fields_in_order():
@@ -259,6 +279,10 @@ BROKEN_MANIFESTS = {
     "no-id": lambda m: _with(m, "signals", 0, "id"),
     "no-wav": lambda m: _with(m, "signals", 0, "wav"),
     "no-ambiguous": lambda m: _with(m, "signals", 0, "ambiguous"),
+    # bool("false") is True: a quoted flag would send the signal to test2
+    "ambiguous-string": lambda m: _with(m, "signals", 0, "ambiguous", value="false"),
+    "ambiguous-number": lambda m: _with(m, "signals", 0, "ambiguous", value=0),
+    "ambiguous-null": lambda m: _with(m, "signals", 0, "ambiguous", value=None),
     "spec-not-a-dict": lambda m: _with(m, "signals", 0, "spec", value=[1, 2]),
     "spec-missing-field": lambda m: _with(m, "signals", 0, "spec", "seed"),
     "spec-bad-number": lambda m: _with(m, "signals", 0, "spec", "spindle_rpm", value="fast"),
