@@ -52,7 +52,6 @@ from .spectral import (
     SpectralFrame,
     export_frame_pgm,
     extract_frames,
-    frame_signal,
     magnitude_spectrum,
     renormalize,
 )

@@ -160,10 +160,10 @@ def build_dataset(
     given, parallel pairs; an id or spec holding a line break raises
     BadSourceId.
 
-    The signals' frames are extracted by `cpus.deal`, on as many CPUs as
-    keep their scratch within its budget. Each signal writes its kept
-    frames into the rows that start at its first frame's; the runs are
-    then moved down in signal order, so the records are the same, bit for
+    Each frame is labeled from its span before any is extracted. Then the
+    signals that have a labeled frame are dealt by `cpus.deal`, on as many
+    CPUs as keep their scratch within its budget, and each writes its
+    labeled frames into its own rows, so the records are the same, bit for
     bit, on any number of CPUs, and any error is the one a serial loop
     would raise.
     """
@@ -178,37 +178,30 @@ def build_dataset(
         if "".join(text.splitlines()) != text:
             raise BadSourceId(f"source id or spec {text!r} holds a line break")
 
-    # room for every frame; signal i's kept frames go from row first[i] on
     framing = [frame_counts(s.samples.size, s.sample_rate_hz, config) for s, _, _ in pairs]
-    first = np.cumsum([0] + [n for _, _, n in framing]).tolist()
-    records = np.zeros(first[-1], dtype=record_dtype(config.n_lines))
-    kept = [0] * len(pairs)
-
-    def extract(source):
-        signal, track, _ = pairs[source]
-        hop_n, window_n, _ = framing[source]
-        row = first[source]
-        for frame in extract_frames(signal, config):
-            # divided once, so a frame ending on the last sample ends at exactly n / rate
-            t_end_s = (frame.frame_index * hop_n + window_n) / signal.sample_rate_hz
-            label = track.label_for_span(frame.t_start_s, t_end_s)
-            if label is not None:
-                records[row] = (source, frame.frame_index, frame.t_start_s, label, 0, 0,
-                                frame.lines)
-                row += 1
-        kept[source] = row - first[source]
-
-    scratch = max((extract_scratch(window_n, n, s.sample_rate_hz, config)
-                   for (s, _, _), (_, window_n, n) in zip(pairs, framing)), default=0)
-    cpus.deal(extract, range(len(pairs)), scratch)
-    n_kept = 0
-    for source, n in enumerate(kept):
-        if n_kept != first[source]:
-            records[n_kept : n_kept + n] = records[first[source] : first[source] + n]
-        n_kept += n
+    labeled = []  # per signal, the (frame index, label) of each labeled frame
+    for (signal, track, _), (hop_n, window_n, n) in zip(pairs, framing):
+        rate = signal.sample_rate_hz
+        # divided once, so a frame ending on the last sample ends at exactly n / rate
+        spans = ((k, track.label_for_span(k * hop_n / rate, (k * hop_n + window_n) / rate))
+                 for k in range(n))
+        labeled.append([(k, label) for k, label in spans if label is not None])
+    # signal i's labeled frames go from row first[i] on
+    first = np.cumsum([0] + [len(frames) for frames in labeled]).tolist()
+    n_kept = first[-1]
     if not n_kept:
         raise EmptyDataset("no frame fell inside a labeled interval")
-    records = records[:n_kept]
+    records = np.zeros(n_kept, dtype=record_dtype(config.n_lines))
+
+    def extract(source):
+        frames = extract_frames(pairs[source][0], config)
+        for row, (k, label) in enumerate(labeled[source], first[source]):
+            records[row] = (source, k, frames[k].t_start_s, label, 0, 0, frames[k].lines)
+
+    dealt = [i for i, frames in enumerate(labeled) if frames]
+    scratch = max(extract_scratch(*framing[i][1:], pairs[i][0].sample_rate_hz, config)
+                  for i in dealt)
+    cpus.deal(extract, dealt, scratch)
     ambiguous = np.array([bool(a) for _, _, a in pairs])
     records["split"] = stratified_split(
         records["label"], ambiguous[records["source"]], split_seed, test_fraction
@@ -222,7 +215,7 @@ def build_dataset(
         "taper": "hann",
         "split_seed": str(split_seed),
         "test_fraction": repr(float(test_fraction)),
-        "dropped_frames": str(first[-1] - n_kept),
+        "dropped_frames": str(sum(n for _, _, n in framing) - n_kept),
         "n_samples": str(n_kept),
         "n_sources": str(len(pairs)),
     }

@@ -28,11 +28,12 @@ probabilities keep their bits whatever the thread count.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import struct
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -657,43 +658,55 @@ def gradient_check(
 
 
 MODEL_MAGIC = b"CHMD"
-MODEL_VERSION = 2
-# magic, version, classes, seed, the SpectralConfig fields in order, dropout rate
-_HEADER = struct.Struct("<4sIIqddIddd")
+MODEL_VERSION = 3
+# magic, version, the JSON header's length in bytes
+_PREFIX = struct.Struct("<4sII")
+_HEADER_KEYS = {"classes", "seed", *asdict(SpectralConfig()), "dropout_rate"}
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    """A version 2 file: the header, then the weights as little-endian f32."""
-    header = _HEADER.pack(MODEL_MAGIC, MODEL_VERSION, len(CLASS_ORDER), model.seed,
-                          *astuple(model.config), model.dropout_rate)
-    write_bytes(path, header, np.ascontiguousarray(model.flat, dtype="<f4"))
+    """A version 3 file: the prefix, a JSON header of `_HEADER_KEYS` padded with
+    spaces to a multiple of 8 bytes, then the weights as little-endian f32."""
+    header = json.dumps({"classes": len(CLASS_ORDER), "seed": int(model.seed),
+                         **asdict(model.config), "dropout_rate": float(model.dropout_rate)})
+    header += " " * (-(_PREFIX.size + len(header)) % 8)
+    write_bytes(path, _PREFIX.pack(MODEL_MAGIC, MODEL_VERSION, len(header)), header.encode(),
+                np.ascontiguousarray(model.flat, dtype="<f4"))
 
 
 def load_model(path) -> ClassifierModel:
-    """Reads a version 2 model file. It must hold the network `build_model`
+    """Reads a version 3 model file. It must hold the network `build_model`
     makes for a valid spectral config, with any dropout rate in [0, 1)."""
     blob = read_bytes(path)
     try:
-        magic, version = struct.unpack_from("<4sI", blob)
+        magic, version, size = _PREFIX.unpack_from(blob)
         if magic != MODEL_MAGIC:
             raise CorruptModel(f"bad magic {magic!r}")
         if version != MODEL_VERSION:
             raise CorruptModel(f"unsupported version {version}")
-        _, _, n_classes, seed, *fields, rate = _HEADER.unpack_from(blob)
     except struct.error as exc:
         raise CorruptModel(f"truncated model file: {exc}") from exc
-    if seed < 0:
-        raise CorruptModel(f"negative seed {seed}")
-    if n_classes != len(CLASS_ORDER):
-        raise CorruptModel(f"{n_classes} classes, expected {len(CLASS_ORDER)}")
-
+    pos = _PREFIX.size + size
+    if pos > len(blob):
+        raise CorruptModel("model file ends inside its header")
+    # the header is one flat object; json would build each level of a nested one
+    if blob.count(b"{", _PREFIX.size, pos) + blob.count(b"[", _PREFIX.size, pos) > 1:
+        raise CorruptModel("model header holds nested brackets")
     # require the network before allocating: its sizes bound the weights
     try:
-        config = SpectralConfig(*fields)
+        header = json.loads(blob[_PREFIX.size : pos].decode())
+        if header.keys() != _HEADER_KEYS:  # SpectralConfig would default a missing field
+            raise ValueError(f"keys {sorted(header)} are not the model's")
+        n_classes, seed, rate = map(header.pop, ("classes", "seed", "dropout_rate"))
+        config = SpectralConfig(**header)
         layers = _network(config.n_lines, rate)
-    except ValueError as exc:
-        raise CorruptModel(str(exc)) from None
-    pos, n_weights = _HEADER.size, _parameter_total(layers)
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:  # float(10**400)
+        raise CorruptModel(f"model header: {exc}") from None
+    if type(seed) is not int or seed < 0:  # a bool is no seed either
+        raise CorruptModel(f"seed {seed!r} is not a non-negative integer")
+    if n_classes != len(CLASS_ORDER):
+        raise CorruptModel(f"{n_classes!r} classes, expected {len(CLASS_ORDER)}")
+    n_weights = _parameter_total(layers)
     if pos + 4 * n_weights > len(blob):
         raise CorruptModel("model file ends before all weights are read")
     if pos + 4 * n_weights != len(blob):

@@ -49,9 +49,9 @@ class SpectralConfig:
     crop_db: float = defaults.CROP_DB
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
+        # each check is written so that NaN fails it; a bool is no number here
         for name in ("hop_s", "window_s", "f_max_hz", "crop_db"):
-            if not 0 < getattr(self, name) < np.inf:
+            if isinstance(getattr(self, name), bool) or not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if isinstance(self.n_lines, bool) or not isinstance(self.n_lines, (int, np.integer)):
             raise ValueError("n_lines must be an integer")
@@ -92,17 +92,9 @@ def frame_counts(n_samples: int, sample_rate_hz: float, config: SpectralConfig):
     return hop_n, window_n, n_frames
 
 
-def frame_signal(signal: TimeSignal, config: SpectralConfig = SpectralConfig()) -> np.ndarray:
-    """The signal's frames as a read-only (n_frames, window_n) view.
-
-    Row k holds samples [k*hop_n, k*hop_n + window_n); trailing samples
-    that do not fill a whole window are dropped.
-    """
-    x = signal.samples
-    return _frames(x, *frame_counts(x.size, signal.sample_rate_hz, config))
-
-
 def _frames(x: np.ndarray, hop_n: int, window_n: int, n_frames: int) -> np.ndarray:
+    """A read-only (n_frames, window_n) view of x: row k holds samples
+    [k*hop_n, k*hop_n + window_n)."""
     if hop_n == window_n:
         # windows that abut, as at the defaults: a reshape, which takes a
         # fifth of the time a strided view takes to make

@@ -204,15 +204,24 @@ def test_overlong_fft_exits_2(tmp_path, capsys, flags):
     assert not (tmp_path / "ds").exists()
 
 
+def test_train_saves_a_seed_past_int64(tmp_path):
+    corpus, ds, model = tmp_path / "corpus", tmp_path / "ds", tmp_path / "m.chmd"
+    assert run(["synth", "--out", str(corpus), "--per-class", "1",
+                "--rpm", "1800", "--seed", "0"]) == 0
+    assert run(["extract", "--in", str(corpus), "--out", str(ds), "--seed", "0"]) == 0
+    assert run(["train", "--data", str(ds), "--out", str(model), "--epochs", "0",
+                "--seed", str(2**63)]) == 0
+    assert cd.load_model(model).seed == 2**63
+
+
 def test_predict_with_an_overlong_fft_model_exits_2(tmp_path, capsys):
     # a model file whose band edge is 0.001 Hz: the config is valid, its FFT is not
     corpus, model = tmp_path / "corpus", tmp_path / "m.chmd"
     assert run(["synth", "--out", str(corpus), "--per-class", "1",
                 "--rpm", "1800", "--seed", "0"]) == 0
     cd.save_model(cd.build_model(0), model)
-    blob = bytearray(model.read_bytes())
-    struct.pack_into("<d", blob, 40, 0.001)  # f_max_hz in the version 2 header
-    model.write_bytes(bytes(blob))
+    blob = model.read_bytes()
+    model.write_bytes(blob.replace(b'"f_max_hz": 2500.0,', b'"f_max_hz": 0.0010,', 1))
     capsys.readouterr()
     wav = next(corpus.glob("chatter-*.wav"))
     assert run(["predict", "--model", str(model), "--wav", str(wav)]) == 2

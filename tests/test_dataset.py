@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chatterdetect as cd
+import chatterdetect.dataset as dataset_module
 from chatterdetect.dataset import FRAMES_FILE, MANIFEST_FILE, Split, record_dtype, stratified_split
 from chatterdetect.errors import BadSourceId, CorruptDataset, EmptyDataset
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
@@ -56,6 +57,24 @@ def test_empty_dataset_when_nothing_labeled():
     track = LabelTrack((LabelInterval(0.0, 0.05, MachiningClass.CHATTER),))
     with pytest.raises(EmptyDataset):
         cd.build_dataset([(sig, track, False)], CFG, split_seed=0, test_fraction=0.0)
+
+
+def test_a_signal_with_no_labeled_frame_is_not_extracted(monkeypatch):
+    extracted = []
+
+    def recording_extract(signal, config):
+        extracted.append(id(signal))
+        return cd.extract_frames(signal, config)
+
+    monkeypatch.setattr(dataset_module, "extract_frames", recording_extract)
+    (sig, track), (unlabeled, _) = one_chatter_signal(seed=3), one_chatter_signal(seed=4)
+    short = LabelTrack((LabelInterval(0.0, 0.05, MachiningClass.CHATTER),))
+    ds = cd.build_dataset([(unlabeled, short, False), (sig, track, False)], CFG, test_fraction=0.0)
+    assert extracted == [id(sig)]
+    assert ds.records["source"].tolist() == [1] * 10 and ds.manifest["dropped_frames"] == "10"
+    with pytest.raises(EmptyDataset):
+        cd.build_dataset([(unlabeled, short, False)], CFG)
+    assert extracted == [id(sig)]
 
 
 def stratified_floor_oracle(n, test_fraction=0.0, val_fraction=0.3):

@@ -109,7 +109,9 @@ def test_damaged_manifest_raises_only_chatter_errors(dataset_dir, data):
 def test_damaged_model_file_raises_only_chatter_errors(model_file, data):
     valid = model_file.read_bytes()
     try:
-        model_file.write_bytes(data.draw(damaged(valid, head=64)))
+        # the prefix and the JSON header
+        head = 12 + struct.unpack_from("<I", valid, 8)[0]
+        model_file.write_bytes(data.draw(damaged(valid, head=head)))
         _load_only_chatter_errors(cd.load_model, model_file)
     finally:
         model_file.write_bytes(valid)
@@ -156,11 +158,10 @@ def test_non_utf8_manifest_is_corrupt(dataset_dir):
 
 
 def test_negative_seed_is_corrupt(model_file):
-    # the seed is the int64 after magic, version and classes
     valid = model_file.read_bytes()
     try:
-        model_file.write_bytes(valid[:12] + struct.pack("<q", -1) + valid[20:])
-        with pytest.raises(CorruptModel, match="negative seed -1"):
+        model_file.write_bytes(valid.replace(b'"seed": 5,', b'"seed":-1,', 1))
+        with pytest.raises(CorruptModel, match="seed -1 is not a non-negative integer"):
             cd.load_model(model_file)
     finally:
         model_file.write_bytes(valid)

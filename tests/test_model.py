@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import os
@@ -401,12 +402,12 @@ def test_model_round_trip(tmp_path, trained_small_model):
     )
 
 
-@pytest.mark.parametrize("version", [0, 1, 3])
+@pytest.mark.parametrize("version", [0, 1, 2, 4])
 def test_model_version_bump_rejected(tmp_path, version):
     path = tmp_path / "m.chmd"
     cd.save_model(cd.build_model(0), path)
     blob = bytearray(path.read_bytes())
-    assert blob[4] == MODEL_VERSION == 2
+    assert blob[4] == MODEL_VERSION == 3
     blob[4] = version
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptModel, match=f"unsupported version {version}"):
@@ -422,11 +423,14 @@ def test_model_truncation_rejected(tmp_path):
 
 
 def test_model_file_layout(tmp_path):
-    # magic, version, classes, seed, the spectral config, dropout, then weights
+    # magic, version and the header's length; the header as JSON, padded
+    # with spaces to a multiple of 8 bytes; then the weights
     model = cd.build_model(0)
     cd.save_model(model, tmp_path / "m.chmd")
-    expected = struct.pack("<4sIIqddIddd", b"CHMD", 2, 3, 0, 0.1, 0.1, 1024, 2500.0, 20.0, 0.3)
-    assert len(expected) == 64
+    header = (b'{"classes": 3, "seed": 0, "hop_s": 0.1, "window_s": 0.1, "n_lines": 1024, '
+              b'"f_max_hz": 2500.0, "crop_db": 20.0, "dropout_rate": 0.3} ')
+    expected = struct.pack("<4sII", b"CHMD", 3, len(header)) + header
+    assert len(expected) == 144
     expected += model.flat.astype("<f4").tobytes()
     assert (tmp_path / "m.chmd").read_bytes() == expected
 
@@ -465,29 +469,52 @@ def test_non_finite_weight_rejected(tmp_path, bad):
         cd.load_model(tmp_path / "m.chmd")
 
 
-def _v2(offset, fmt, value):
-    """A complete version 2 file of build_model(0) with `value` packed as
-    `fmt` at byte `offset`."""
+def _fields(**change):
+    """build_model(0)'s header fields, as JSON, with `change` applied."""
+    fields = {"classes": 3, "seed": 0, **asdict(cd.SpectralConfig()), "dropout_rate": 0.3}
+    return json.dumps({**fields, **change}).encode()
+
+
+def _v3(header: bytes, size=None):
+    """A version 3 file of build_model(0)'s weights after `header`, whose
+    length the prefix gives as `size`, by default the header's own."""
     def forge(path):
-        cd.save_model(cd.build_model(0), path)
-        blob = bytearray(path.read_bytes())
-        struct.pack_into(fmt, blob, offset, value)
-        path.write_bytes(bytes(blob))
+        prefix = struct.pack("<4sII", b"CHMD", 3, len(header) if size is None else size)
+        path.write_bytes(prefix + header + cd.build_model(0).flat.astype("<f4").tobytes())
     return forge
 
 
+def test_an_unpadded_header_loads(tmp_path):
+    # the forgeries below change one thing in this file
+    _v3(_fields())(tmp_path / "m.chmd")
+    back = cd.load_model(tmp_path / "m.chmd")
+    assert np.array_equal(back.flat, cd.build_model(0).flat) and back.dropout_rate == 0.3
+
+
 FORGED = {
-    # seed at byte 12, the config's fields at 20, 28, 36 (lines), 40 and 48
-    # (crop), the dropout rate at 56
-    "v2-lines-22": _v2(36, "<I", 22),
-    "v2-lines-2**31": _v2(36, "<I", 2**31),
-    "v2-crop-0": _v2(48, "<d", 0.0),
-    "v2-crop-nan": _v2(48, "<d", math.nan),
-    "v2-crop-neg20": _v2(48, "<d", -20.0),
-    "v2-crop-inf": _v2(48, "<d", math.inf),
-    "v2-window-nan": _v2(28, "<d", math.nan),
-    "v2-dropout-1": _v2(56, "<d", 1.0),
-    "v2-classes-4": _v2(8, "<I", 4),
+    # v2- ids: values the version 2 struct could also hold; json- ids:
+    # headers only JSON can express
+    "v2-lines-22": _v3(_fields(n_lines=22)),
+    "v2-lines-2**31": _v3(_fields(n_lines=2**31)),
+    "v2-crop-0": _v3(_fields(crop_db=0.0)),
+    "v2-crop-nan": _v3(_fields(crop_db=math.nan)),
+    "v2-crop-neg20": _v3(_fields(crop_db=-20.0)),
+    "v2-crop-inf": _v3(_fields(crop_db=math.inf)),
+    "v2-window-nan": _v3(_fields(window_s=math.nan)),
+    "v2-dropout-1": _v3(_fields(dropout_rate=1.0)),
+    "v2-classes-4": _v3(_fields(classes=4)),
+    "v2-seed-neg1": _v3(_fields(seed=-1)),
+    "json-missing-key": _v3(_fields().replace(b', "crop_db": 20.0', b"")),
+    "json-extra-key": _v3(_fields(kept_epoch=30)),
+    "json-seed-true": _v3(_fields(seed=True)),
+    "json-seed-1.5": _v3(_fields(seed=1.5)),
+    "json-string-value": _v3(_fields(hop_s="0.1")),
+    "json-hop-true": _v3(_fields(hop_s=True)),
+    "json-hop-past-float-range": _v3(_fields(hop_s=10**400)),
+    "json-not-utf8": _v3(_fields().replace(b"hop_s", b"hop\xff")),
+    "json-length-past-eof": _v3(_fields(), size=2**32 - 1),
+    "json-array": _v3(b"[3, 0, 0.1, 0.1, 1024, 2500.0, 20.0, 0.3]"),
+    "json-deep-nesting": _v3(b"[" * 10_000),
 }
 
 

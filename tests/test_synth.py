@@ -6,7 +6,7 @@ import pytest
 import chatterdetect as cd
 from chatterdetect.errors import InfeasibleSpec, IoFailure
 from chatterdetect.synth import MANIFEST_NAME, sample_count, spec_from_dict, spec_to_dict
-from chatterdetect.spectral import SpectralConfig
+from chatterdetect.spectral import SpectralConfig, frame_counts
 
 CFG = SpectralConfig()
 GRID = CFG.grid_hz()
@@ -47,7 +47,8 @@ def test_rotation_spectrum_peaks_only_at_spindle_harmonics():
         noise_sigma=0.0, seed=4,
     )
     sig = cd.generate(spec)
-    window = cd.frame_signal(sig, CFG)[0]
+    _, window_n, _ = frame_counts(sig.samples.size, sig.sample_rate_hz, CFG)
+    window = sig.samples[:window_n]
     mags = cd.magnitude_spectrum(window, sig.sample_rate_hz, CFG)
     f_r = 30.0
     strong = GRID[mags >= 0.1 * mags.max()]
