@@ -18,16 +18,14 @@ flags still win).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
 import sys
-from pathlib import Path
 
 from . import defaults
 from .dataset import Split, build_dataset, class_distribution, load_dataset, save_dataset
-from .errors import ChatterError, EmptyDataset, make_dir
+from .errors import ChatterError, EmptyDataset, make_dir, read_text
 from .evaluation import build_report, emit_report
 from .model import (
     Hyperparameters,
@@ -104,7 +102,7 @@ def _scan_config(argv):
 
 def _load_config(path) -> dict[str, str]:
     overrides = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(path, ChatterError).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -221,10 +219,7 @@ def cmd_extract(args) -> int:
         split_seed=args.seed,
         test_fraction=args.test_frac,
         source_ids=[it.item_id for it in items],
-        source_specs=[
-            json.dumps(spec_to_dict(it.spec), sort_keys=True) if it.spec else ""
-            for it in items
-        ],
+        source_specs=[spec_to_dict(it.spec) if it.spec else None for it in items],
     )
     save_dataset(ds, args.out)
     for split in Split:
@@ -291,9 +286,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
     except ChatterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,16 +1,18 @@
 """Labeled frame datasets: build, split, persist.
 
 A dataset is an array of fixed-size frame records (``record_dtype``) and
-a manifest of key=value provenance records. The manifest's
-``source.<i>.id``, ``.ambiguous`` and ``.spec`` entries describe input i,
-and a record's ``source`` field is that i. Its directory holds a UTF-8
-``manifest`` and ``frames.bin``: a 16-byte header (magic ``CHDS``,
-version 2) and then the records' bytes, exactly n_samples * (4 * n_lines
-+ 20) of them.
+a provenance manifest of plain JSON values. The manifest's ``sources``
+list holds one ``{"id", "ambiguous", "spec"}`` object per input, in
+input order, and a record's ``source`` field is its index there. Its
+directory holds ``manifest``, that object as UTF-8 JSON, and
+``frames.bin``: an 8-byte prefix (magic ``CHDS``, version 3) and then
+the records' bytes, exactly n_samples * (4 * n_lines + 20) of them, with
+n_samples and n_lines as the manifest states them.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import asdict, dataclass
 from enum import IntEnum
@@ -20,8 +22,7 @@ import numpy as np
 
 from . import cpus, defaults
 from .errors import (
-    BadSourceId, CorruptDataset, EmptyDataset,
-    make_dir, read_bytes, read_text, write_bytes, write_lines,
+    CorruptDataset, EmptyDataset, make_dir, read_bytes, read_text, write_bytes, write_lines,
 )
 from .signal_io import CLASS_ORDER, MachiningClass
 from .spectral import (
@@ -29,9 +30,10 @@ from .spectral import (
 )
 
 MAGIC = b"CHDS"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_FILE = "manifest"
 FRAMES_FILE = "frames.bin"
+_PREFIX = struct.Struct("<4sI")
 
 
 class Split(IntEnum):
@@ -58,7 +60,7 @@ def record_dtype(n_lines: int) -> np.dtype:
     bookkeeping, then the renormalized lines as float32."""
     return np.dtype(
         [
-            ("source", "<u4"),  # i of the manifest's source.<i>.* entries
+            ("source", "<u4"),  # index in the manifest's sources
             ("frame_index", "<u4"),
             ("t_start", "<f8"),
             ("label", "u1"),  # MachiningClass
@@ -72,12 +74,12 @@ def record_dtype(n_lines: int) -> np.dtype:
 @dataclass(eq=False)
 class LabeledDataset:
     """Frame records (``record_dtype``) and the provenance manifest, whose
-    ``source.<i>.*`` entries describe the recording of every record whose
+    ``sources[i]`` describes the recording of every record whose
     ``source`` is i. The records ``load_dataset`` returns are a read-only
     view of the file."""
 
     records: np.ndarray
-    manifest: dict[str, str]
+    manifest: dict
 
     @property
     def n_lines(self) -> int:
@@ -85,16 +87,7 @@ class LabeledDataset:
 
     @property
     def config(self) -> SpectralConfig:
-        """The spectral config the manifest records; every field must be there."""
-        try:
-            return SpectralConfig(**{
-                name: type(default)(self.manifest[name])
-                for name, default in asdict(SpectralConfig()).items()
-            })
-        except KeyError as exc:
-            raise CorruptDataset(f"manifest has no spectral field {exc}") from None
-        except ValueError as exc:
-            raise CorruptDataset(f"manifest spectral config: {exc}") from None
+        return _spectral_config(self.manifest)
 
     def __len__(self):
         return len(self.records)
@@ -115,6 +108,16 @@ class LabeledDataset:
         """(lines, labels) arrays for one split: float32 (n, n_lines), int64 (n,)."""
         mask = self.records["split"] == split
         return self.records["lines"][mask], self.records["label"][mask].astype(np.int64)
+
+
+def _spectral_config(manifest: dict) -> SpectralConfig:
+    """The spectral config the manifest records; every field must be there."""
+    try:
+        return SpectralConfig(**{name: manifest[name] for name in asdict(SpectralConfig())})
+    except KeyError as exc:
+        raise CorruptDataset(f"manifest has no spectral field {exc}") from None
+    except (ValueError, TypeError, OverflowError) as exc:  # float(10**400)
+        raise CorruptDataset(f"manifest spectral config: {exc}") from None
 
 
 def stratified_split(
@@ -156,9 +159,8 @@ def build_dataset(
 
     A frame is kept only when its [t_start, t_start + window) span lies
     fully inside one labeled interval; straddling or unlabeled frames are
-    dropped and counted in the manifest. source_ids and source_specs, if
-    given, parallel pairs; an id or spec holding a line break raises
-    BadSourceId.
+    dropped and counted in the manifest. source_ids (strings) and
+    source_specs (`spec_to_dict` objects or None), if given, parallel pairs.
 
     Each frame is labeled from its span before any is extracted. Then the
     signals that have a labeled frame are dealt by `cpus.deal`, on as many
@@ -170,13 +172,11 @@ def build_dataset(
     pairs = list(pairs)
     if source_ids is None:
         source_ids = [f"signal-{i:04d}" for i in range(len(pairs))]
-    for name, texts in (("source_ids", source_ids), ("source_specs", source_specs)):
-        if texts is not None and len(texts) != len(pairs):
+    if source_specs is None:
+        source_specs = [None] * len(pairs)
+    for name, given in (("source_ids", source_ids), ("source_specs", source_specs)):
+        if len(given) != len(pairs):
             raise ValueError(f"{name} must parallel pairs")
-    for text in [*source_ids, *filter(None, source_specs or [])]:
-        # the manifest is read by str.splitlines
-        if "".join(text.splitlines()) != text:
-            raise BadSourceId(f"source id or spec {text!r} holds a line break")
 
     framing = [frame_counts(s.samples.size, s.sample_rate_hz, config) for s, _, _ in pairs]
     labeled = []  # per signal, the (frame index, label) of each labeled frame
@@ -208,23 +208,18 @@ def build_dataset(
     )
 
     manifest = {
-        "format": "chatterdetect-dataset",
-        "version": str(FORMAT_VERSION),
-        **{name: repr(value) for name, value in asdict(config).items()},
-        "f_min_hz": "0.0",
+        **asdict(config),
+        "f_min_hz": 0.0,
         "taper": "hann",
-        "split_seed": str(split_seed),
-        "test_fraction": repr(float(test_fraction)),
-        "dropped_frames": str(sum(n for _, _, n in framing) - n_kept),
-        "n_samples": str(n_kept),
-        "n_sources": str(len(pairs)),
+        "split_seed": int(split_seed),
+        "test_fraction": float(test_fraction),
+        "dropped_frames": sum(n for _, _, n in framing) - n_kept,
+        "n_samples": n_kept,
+        "sources": [
+            {"id": str(source_id), "ambiguous": flag, "spec": spec}
+            for source_id, flag, spec in zip(source_ids, ambiguous.tolist(), source_specs)
+        ],
     }
-    for i, source_id in enumerate(source_ids):
-        manifest[f"source.{i}.id"] = source_id
-        manifest[f"source.{i}.ambiguous"] = "1" if ambiguous[i] else "0"
-        if source_specs is not None and source_specs[i]:
-            manifest[f"source.{i}.spec"] = source_specs[i]
-
     return LabeledDataset(records, manifest)
 
 
@@ -236,57 +231,52 @@ def class_distribution(ds: LabeledDataset, split: Split) -> dict[MachiningClass,
 
 def save_dataset(ds: LabeledDataset, out_dir) -> None:
     out = make_dir(out_dir)
-    header = struct.pack("<4sIII", MAGIC, FORMAT_VERSION, ds.n_lines, len(ds))
-    write_bytes(out / FRAMES_FILE, header, np.ascontiguousarray(ds.records))
-    write_lines(out / MANIFEST_FILE, [f"{k}={v}" for k, v in ds.manifest.items()])
+    write_bytes(out / FRAMES_FILE, _PREFIX.pack(MAGIC, FORMAT_VERSION),
+                np.ascontiguousarray(ds.records))
+    write_lines(out / MANIFEST_FILE, [json.dumps(ds.manifest, indent=2)])
 
 
 def load_dataset(in_dir) -> LabeledDataset:
     src = Path(in_dir)
     manifest_text = read_text(src / MANIFEST_FILE, CorruptDataset)
     blob = read_bytes(src / FRAMES_FILE)
-
-    manifest: dict[str, str] = {}
-    for line in manifest_text.splitlines():
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise CorruptDataset(f"bad manifest line {line!r}")
-        key, value = line.split("=", 1)
-        manifest[key] = value
-
-    if len(blob) < 16:
-        raise CorruptDataset("frames.bin shorter than its header")
-    magic, version, n_lines, n_samples = struct.unpack_from("<4sIII", blob)
+    if len(blob) < _PREFIX.size:
+        raise CorruptDataset("frames.bin shorter than its prefix")
+    magic, version = _PREFIX.unpack_from(blob)
     if magic != MAGIC:
         raise CorruptDataset(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise CorruptDataset(f"unsupported version {version}")
-    if n_lines == 0:
-        raise CorruptDataset("frames.bin declares frames of zero lines")
+
     try:
-        dtype = record_dtype(n_lines)
+        manifest = json.loads(manifest_text)
+        n_samples, sources = manifest["n_samples"], manifest["sources"]
+        if type(n_samples) is not int or n_samples < 0:  # a bool is no count either
+            raise ValueError(f"n_samples {n_samples!r} is not a non-negative integer")
+        if type(sources) is not list or not all(
+                type(s) is dict and type(s["id"]) is str and type(s["ambiguous"]) is bool
+                for s in sources):
+            raise ValueError("sources must list objects with a str id and a bool ambiguous")
+    # not JSON (ValueError), nested past the recursion limit, a missing key,
+    # or a manifest that is no object (TypeError)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise CorruptDataset(f"manifest: {exc!r}") from None
+
+    config = _spectral_config(manifest)
+    try:
+        dtype = record_dtype(config.n_lines)
     except ValueError:  # numpy refuses records of 2 GiB or more
-        raise CorruptDataset(f"frames.bin declares {n_lines} lines per frame") from None
-    expected = 16 + n_samples * dtype.itemsize
+        raise CorruptDataset(f"manifest declares {config.n_lines} lines per frame") from None
+    expected = _PREFIX.size + n_samples * dtype.itemsize
     if len(blob) != expected:
         raise CorruptDataset(
             f"frames.bin is {len(blob)} bytes, expected exactly {expected}"
         )
-    ds = LabeledDataset(np.frombuffer(blob, dtype=dtype, offset=16), manifest)
-    records, config = ds.records, ds.config
-    if config.n_lines != n_lines:
-        raise CorruptDataset(f"manifest says {config.n_lines} lines, frames.bin {n_lines}")
-    try:
-        counted, n_sources = int(manifest["n_samples"]), int(manifest["n_sources"])
-    except (KeyError, ValueError):
-        raise CorruptDataset("manifest n_samples or n_sources missing or not an integer") from None
-    if counted != n_samples:
-        raise CorruptDataset(f"manifest says {counted} frames, frames.bin {n_samples}")
+    records = np.frombuffer(blob, dtype=dtype, offset=_PREFIX.size)
     if np.any(records["label"] >= len(CLASS_ORDER)) or np.any(records["split"] >= len(Split)):
         raise CorruptDataset("label or split code out of range")
     if not np.all(frame_lines_valid(records["lines"], config.crop_db)):
         raise CorruptDataset("frame violates the renormalization invariants")
-    if np.any(records["source"] >= n_sources):
+    if np.any(records["source"] >= len(sources)):
         raise CorruptDataset("source index out of range")
-    return ds
+    return LabeledDataset(records, manifest)

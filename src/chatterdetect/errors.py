@@ -146,10 +146,6 @@ class MissingClass(ChatterError):
     """A class that should be present in the training split is not."""
 
 
-class BadSourceId(ChatterError):
-    """Source id or spec holds a line break, which would split its manifest line."""
-
-
 class CorruptDataset(ChatterError):
     """Dataset directory failed validation (magic, version, size, invariants)."""
 

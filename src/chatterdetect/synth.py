@@ -402,8 +402,9 @@ def read_corpus(in_dir) -> list[CorpusItem]:
             if not all(isinstance(ambiguous, bool) for _, _, _, ambiguous, _ in records):
                 raise TypeError("ambiguous must be a JSON boolean")  # bool("false") is True
         # the wrong shape or a flag that is not a boolean (TypeError), a
-        # missing key, or a spec value that its field's type or SynthSpec rejects
-        except (ValueError, KeyError, TypeError, ChatterError) as exc:
+        # missing key, nesting past the recursion limit, or a spec value that
+        # its field's type or SynthSpec rejects
+        except (ValueError, KeyError, TypeError, RecursionError, ChatterError) as exc:
             raise IoFailure(f"cannot read {manifest_path}: {exc!r}") from exc
         return [
             CorpusItem(item_id, load_wav(wav), load_labels(labels), ambiguous, spec)

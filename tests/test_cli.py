@@ -320,6 +320,11 @@ def test_malformed_corpus_manifest_exits_2(tmp_path, capsys):
     assert run(extract) == 2
     assert "IoFailure" in capsys.readouterr().err
 
+    (corpus / "corpus.json").write_text("[" * 100_000)
+    assert run(extract) == 2
+    err = capsys.readouterr().err
+    assert "IoFailure" in err and "Traceback" not in err
+
     # without a manifest, every WAV needs its label file, and there must be a WAV
     (corpus / "corpus.json").unlink()
     next(corpus.glob("*.labels.csv")).unlink()
@@ -403,7 +408,7 @@ def test_out_of_range_config_value_exits_1(tmp_path, capsys):
 
     config.write_bytes(b"\xffepochs=1\n")
     assert run(["--config", str(config), "train", "--data", "d", "--out", "m"]) == 1
-    assert "cannot read config" in capsys.readouterr().err
+    assert f"{config} is not UTF-8" in capsys.readouterr().err
 
 
 def test_eval_of_an_empty_split_exits_2_and_writes_no_report(tmp_path, capsys):

@@ -148,7 +148,7 @@ def test_extraction_gives_the_same_bytes_on_any_number_of_cpus(cpus, monkeypatch
     kept = [(i, frame) for i, ((_, track, _), signal_frames) in enumerate(zip(pairs, frames))
             for frame in signal_frames
             if track.label_for_span(frame.t_start_s, frame.t_start_s + 0.1) is not None]
-    assert serial.manifest["dropped_frames"] == "14"  # 4 of signal 1, 10 of signal 4
+    assert serial.manifest["dropped_frames"] == 14  # 4 of signal 1, 10 of signal 4
     assert serial.records["source"].tolist() == [i for i, _ in kept]
     assert serial.records["frame_index"].tolist() == [frame.frame_index for _, frame in kept]
     assert np.array_equal(serial.records["lines"], [frame.lines for _, frame in kept])
@@ -284,7 +284,7 @@ def test_network_matrix_and_dataset_take_len_machining_class_classes(tmp_path, s
     cd.save_dataset(small_dataset, tmp_path / "ds")
     path = tmp_path / "ds" / FRAMES_FILE
     blob = bytearray(path.read_bytes())
-    labels = np.frombuffer(blob, dtype=record_dtype(small_dataset.n_lines), offset=16)["label"]
+    labels = np.frombuffer(blob, dtype=record_dtype(small_dataset.n_lines), offset=8)["label"]
     for code in range(256):
         labels[0] = code
         path.write_bytes(bytes(blob))

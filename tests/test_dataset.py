@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import chatterdetect as cd
 import chatterdetect.dataset as dataset_module
 from chatterdetect.dataset import FRAMES_FILE, MANIFEST_FILE, Split, record_dtype, stratified_split
-from chatterdetect.errors import BadSourceId, CorruptDataset, EmptyDataset
+from chatterdetect.errors import CorruptDataset, EmptyDataset
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
 from chatterdetect.spectral import SpectralConfig
 
@@ -46,7 +47,7 @@ def test_straddling_frames_are_dropped():
     # frames at 0.0/0.1/0.2 fit the first interval, 0.4..0.9 the second;
     # the frame spanning [0.3, 0.4) straddles the boundary and is dropped
     assert len(ds) == 9
-    assert ds.manifest["dropped_frames"] == "1"
+    assert ds.manifest["dropped_frames"] == 1
     labels = ds.records["label"].tolist()
     assert labels.count(int(MachiningClass.CHATTER)) == 3
     assert labels.count(int(MachiningClass.MACHINING_NO_CHATTER)) == 6
@@ -71,7 +72,7 @@ def test_a_signal_with_no_labeled_frame_is_not_extracted(monkeypatch):
     short = LabelTrack((LabelInterval(0.0, 0.05, MachiningClass.CHATTER),))
     ds = cd.build_dataset([(unlabeled, short, False), (sig, track, False)], CFG, test_fraction=0.0)
     assert extracted == [id(sig)]
-    assert ds.records["source"].tolist() == [1] * 10 and ds.manifest["dropped_frames"] == "10"
+    assert ds.records["source"].tolist() == [1] * 10 and ds.manifest["dropped_frames"] == 10
     with pytest.raises(EmptyDataset):
         cd.build_dataset([(unlabeled, short, False)], CFG)
     assert extracted == [id(sig)]
@@ -163,10 +164,8 @@ def test_splits_partition_dataset(small_dataset):
     seen = sorted(i for s in Split for i in small_dataset.split_indices(s))
     assert seen == list(range(len(small_dataset)))
     # a frame is in the ambiguous split exactly when its recording is ambiguous
-    manifest, records = small_dataset.manifest, small_dataset.records
-    ambiguous = np.array([
-        manifest[f"source.{i}.ambiguous"] == "1" for i in range(int(manifest["n_sources"]))
-    ])
+    sources, records = small_dataset.manifest["sources"], small_dataset.records
+    ambiguous = np.array([source["ambiguous"] for source in sources])
     assert ambiguous.any() and not ambiguous.all()
     assert np.array_equal(ambiguous[records["source"]], records["split"] == Split.TEST2_AMBIGUOUS)
 
@@ -178,7 +177,7 @@ def test_save_load_round_trip(tmp_path, small_dataset):
 
 
 def test_numpy_scalar_config_round_trips(tmp_path):
-    # the config holds plain numbers, so the reprs the manifest states read back
+    # the config holds plain numbers, so the manifest states them as JSON numbers
     config = SpectralConfig(hop_s=np.float64(0.1), n_lines=np.int64(1024),
                             crop_db=np.float32(20.0))
     sig, track = one_chatter_signal()
@@ -186,28 +185,35 @@ def test_numpy_scalar_config_round_trips(tmp_path):
     cd.save_dataset(ds, tmp_path / "ds")
     back = cd.load_dataset(tmp_path / "ds")
     assert back == ds
-    manifest = (tmp_path / "ds" / MANIFEST_FILE).read_text().splitlines()
-    assert "hop_s=0.1" in manifest and "test_fraction=0.2" in manifest
+    manifest = json.loads((tmp_path / "ds" / MANIFEST_FILE).read_text())
+    assert (manifest["hop_s"], manifest["n_lines"], manifest["test_fraction"]) == (0.1, 1024, 0.2)
     cd.save_model(cd.build_model(0, config), tmp_path / "m.chmd")
     assert cd.load_model(tmp_path / "m.chmd").config == back.config
 
 
-@pytest.mark.parametrize("bad_id", ["a\nb", "a\r", "a\u2028b"])
-def test_source_id_holding_a_manifest_separator_is_rejected(bad_id):
-    # the manifest is read line by line, by str.splitlines
+@pytest.mark.parametrize("text", ["a\nb", "a\r", "a\u2028b"])
+def test_source_id_holding_a_line_break_round_trips(tmp_path, text):
+    # JSON escapes line breaks, so no id can split the manifest
     sig, track = one_chatter_signal()
-    with pytest.raises(BadSourceId):
-        cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
-                         source_ids=[bad_id, "c"])
+    ds = cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
+                          source_ids=[text, "c"])
+    cd.save_dataset(ds, tmp_path / "ds")
+    back = cd.load_dataset(tmp_path / "ds")
+    assert back == ds and back.manifest["sources"][0]["id"] == text
 
 
-@pytest.mark.parametrize("bad_spec", ['{"a": 1}\nsplit_seed=5', "a\r", "a\u2028b"])
-def test_source_spec_holding_a_manifest_separator_is_rejected(bad_spec):
-    # unchecked, the first spec would save a manifest that reloads with split_seed=5
+@pytest.mark.parametrize("text", [pytest.param('{"a": 1}\nsplit_seed=5', id="split_seed-line"),
+                                  "a\r", "a\u2028b"])
+def test_source_spec_holding_a_line_break_round_trips(tmp_path, text):
+    # a manifest read line by line would take the note's second line as split_seed=5
     sig, track = one_chatter_signal()
-    with pytest.raises(BadSourceId):
-        cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
-                         source_specs=[bad_spec, ""])
+    specs = [{"note": text, "bar": "a|b", "seed": 3}, None]
+    ds = cd.build_dataset([(sig, track, False)] * 2, CFG, test_fraction=0.0,
+                          source_specs=specs)
+    cd.save_dataset(ds, tmp_path / "ds")
+    back = cd.load_dataset(tmp_path / "ds")
+    assert back == ds and [s["spec"] for s in back.manifest["sources"]] == specs
+    assert back.manifest["split_seed"] == 0
 
 
 @pytest.mark.parametrize("field", ["source_ids", "source_specs"])
@@ -226,7 +232,7 @@ def test_source_id_holding_a_bar_round_trips(tmp_path):
     cd.save_dataset(ds, tmp_path / "ds")
     back = cd.load_dataset(tmp_path / "ds")
     assert back == ds
-    assert (back.manifest["source.0.id"], back.manifest["source.1.id"]) == ("a|b", "|")
+    assert [source["id"] for source in back.manifest["sources"]] == ["a|b", "|"]
 
 
 def test_records_name_their_own_recording_when_a_source_keeps_no_frame():
@@ -238,30 +244,29 @@ def test_records_name_their_own_recording_when_a_source_keeps_no_frame():
             track = LabelTrack((LabelInterval(0.0, 0.05, MachiningClass.CHATTER),))
         pairs.append((sig, track, i == 2))
         ids.append(f"chatter-{i:04d}")
-        specs.append(f'{{"seed": {seed}}}')
+        specs.append({"seed": seed})
     ds = cd.build_dataset(pairs, CFG, test_fraction=0.0, source_ids=ids, source_specs=specs)
-    assert ds.manifest["n_sources"] == "3"
+    assert len(ds.manifest["sources"]) == 3
     assert sorted(set(ds.records["source"].tolist())) == [1, 2]
     frames = [cd.extract_frames(sig, CFG) for sig, _, _ in pairs]
     for rec in ds.records:
         i = int(rec["source"])
         # the frame is one of recording i's, and the manifest names that recording
         assert np.array_equal(rec["lines"], frames[i][rec["frame_index"]].lines)
-        assert ds.manifest[f"source.{i}.id"] == ids[i]
-        assert ds.manifest[f"source.{i}.spec"] == specs[i]
+        assert ds.manifest["sources"][i] == {"id": ids[i], "ambiguous": i == 2, "spec": specs[i]}
         assert (rec["split"] == Split.TEST2_AMBIGUOUS) == (i == 2)
 
 
 def test_frames_file_size_formula(tmp_path, small_dataset):
     cd.save_dataset(small_dataset, tmp_path / "ds")
     size = (tmp_path / "ds" / FRAMES_FILE).stat().st_size
-    assert size == 16 + len(small_dataset) * (4 * 1024 + 20)
+    assert size == 8 + len(small_dataset) * (4 * 1024 + 20)
 
 
 def test_frames_file_layout(tmp_path, small_dataset):
     # the documented layout, packed field by field
     cd.save_dataset(small_dataset, tmp_path / "ds")
-    parts = [struct.pack("<4sIII", b"CHDS", 2, 1024, len(small_dataset))]
+    parts = [struct.pack("<4sI", b"CHDS", 3)]
     for rec in small_dataset.records:
         parts.append(
             struct.pack(
@@ -281,12 +286,13 @@ def test_large_dataset_size_is_exact(tmp_path):
     records["label"] = MachiningClass.CHATTER
     records["split"] = Split.TEST2_AMBIGUOUS
     records["lines"] = -20.0
-    manifest = {"hop_s": "0.1", "window_s": "0.1", "n_lines": "1024", "f_max_hz": "2500.0",
-                "crop_db": "20.0", "n_samples": "10180", "n_sources": "1"}
+    manifest = {"hop_s": 0.1, "window_s": 0.1, "n_lines": 1024, "f_max_hz": 2500.0,
+                "crop_db": 20.0, "n_samples": 10180,
+                "sources": [{"id": "x", "ambiguous": True, "spec": None}]}
     ds = cd.LabeledDataset(records, manifest)
     cd.save_dataset(ds, tmp_path / "big")
     size = (tmp_path / "big" / FRAMES_FILE).stat().st_size
-    assert size == 16 + 10180 * (1024 * 4 + 20)
+    assert size == 8 + 10180 * (1024 * 4 + 20)
     assert cd.load_dataset(tmp_path / "big") == ds
 
 
@@ -324,25 +330,82 @@ def test_version_1_frames_file_is_rejected(tmp_path, small_dataset):
         cd.load_dataset(tmp_path / "ds")
 
 
+def test_version_2_dataset_is_rejected(tmp_path, small_dataset):
+    # the layout earlier code wrote: a 16-byte header that restated n_lines
+    # and n_samples, and a key=value manifest
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    path = tmp_path / "ds" / FRAMES_FILE
+    header = struct.pack("<4sIII", b"CHDS", 2, 1024, len(small_dataset))
+    path.write_bytes(header + path.read_bytes()[8:])
+    (tmp_path / "ds" / MANIFEST_FILE).write_text("format=chatterdetect-dataset\nversion=2\n")
+    with pytest.raises(CorruptDataset, match="unsupported version 2$"):
+        cd.load_dataset(tmp_path / "ds")
+
+
+def _edit_manifest(directory, edit):
+    path = directory / MANIFEST_FILE
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda text: text.replace("\nn_samples=", "\nn_samples=1"),
-        lambda text: text.replace("\nn_samples=", "\nn_samples=x"),
-        lambda text: text.replace("\nn_samples=", "\nsamples="),
-        lambda text: text.replace("\nn_sources=18\n", "\nn_sources=17\n"),
-        lambda text: text.replace("\nn_sources=", "\nsources="),
+        lambda m: m.update(n_samples=m["n_samples"] + 1),
+        lambda m: m.update(n_samples=str(m["n_samples"])),
+        lambda m: m.pop("n_samples"),
+        lambda m: m["sources"].pop(),
+        lambda m: m.pop("sources"),
     ],
     ids=["n_samples-differs", "n_samples-not-int", "no-n_samples", "too-few-sources",
-         "no-n_sources"],
+         "no-sources"],
 )
 def test_manifest_counts_must_match_frames_file(tmp_path, small_dataset, edit):
     cd.save_dataset(small_dataset, tmp_path / "ds")
-    path = tmp_path / "ds" / MANIFEST_FILE
-    text = path.read_text()
-    assert edit(text) != text
-    path.write_text(edit(text))
+    _edit_manifest(tmp_path / "ds", edit)
     with pytest.raises(CorruptDataset):
+        cd.load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update(n_samples=float(m["n_samples"])),
+        lambda m: m.update(n_samples=True),
+        lambda m: m.update(n_samples=-1),
+        lambda m: m.update(sources={"0": m["sources"][0]}),
+        lambda m: m["sources"].__setitem__(0, "chatter-0000"),
+        lambda m: m["sources"][0].pop("id"),
+        lambda m: m["sources"][0].update(id=7),
+        lambda m: m["sources"][0].pop("ambiguous"),
+        lambda m: m["sources"][0].update(ambiguous=1),
+        lambda m: m["sources"][0].update(ambiguous="false"),
+        lambda m: m.update(hop_s=10**400),
+        lambda m: m.update(hop_s="0.1"),
+        lambda m: m.update(hop_s=None),
+        lambda m: m.update(hop_s=[0.1]),
+    ],
+    ids=["n_samples-a-float", "n_samples-a-bool", "n_samples-negative", "sources-an-object",
+         "source-a-string", "no-id", "id-a-number", "no-ambiguous", "ambiguous-a-number",
+         "ambiguous-a-string", "hop_s-past-float-range", "hop_s-a-string", "hop_s-null",
+         "hop_s-a-list"],
+)
+def test_manifest_values_must_have_their_types(tmp_path, small_dataset, edit):
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    _edit_manifest(tmp_path / "ds", edit)
+    with pytest.raises(CorruptDataset, match="^manifest"):
+        cd.load_dataset(tmp_path / "ds")
+
+
+@pytest.mark.parametrize(
+    "text", ["", "key=value\n", "[]", "null", "[" * 100_000, '{"n_samples": 1,'],
+    ids=["empty", "key-value", "a-list", "null", "nested-100000-deep", "truncated"],
+)
+def test_manifest_that_is_no_json_object_is_corrupt(tmp_path, small_dataset, text):
+    cd.save_dataset(small_dataset, tmp_path / "ds")
+    (tmp_path / "ds" / MANIFEST_FILE).write_text(text)
+    with pytest.raises(CorruptDataset, match="^manifest: "):
         cd.load_dataset(tmp_path / "ds")
 
 
@@ -350,20 +413,15 @@ def test_manifest_counts_must_match_frames_file(tmp_path, small_dataset, edit):
 def test_manifest_must_state_every_spectral_field(tmp_path, small_dataset, field):
     # a default read in its place would frame predictions unlike the dataset
     cd.save_dataset(small_dataset, tmp_path / "ds")
-    path = tmp_path / "ds" / MANIFEST_FILE
-    lines = path.read_text().splitlines()
-    kept = [line for line in lines if not line.startswith(f"{field}=")]
-    assert len(kept) == len(lines) - 1
-    path.write_text("\n".join(kept) + "\n")
+    _edit_manifest(tmp_path / "ds", lambda m: m.pop(field))
     with pytest.raises(CorruptDataset, match=field):
         cd.load_dataset(tmp_path / "ds")
 
 
-@pytest.mark.parametrize("n_lines", ["512", "many"])
+@pytest.mark.parametrize("n_lines", [512, "many"])
 def test_manifest_line_count_must_match_frames_file(tmp_path, small_dataset, n_lines):
     cd.save_dataset(small_dataset, tmp_path / "ds")
-    path = tmp_path / "ds" / MANIFEST_FILE
-    path.write_text(path.read_text().replace("\nn_lines=1024\n", f"\nn_lines={n_lines}\n"))
+    _edit_manifest(tmp_path / "ds", lambda m: m.update(n_lines=n_lines))
     with pytest.raises(CorruptDataset):
         cd.load_dataset(tmp_path / "ds")
 
@@ -400,7 +458,7 @@ def test_corrupt_frame_values_are_rejected(tmp_path, small_dataset, corrupt):
     cd.save_dataset(small_dataset, tmp_path / "ds")
     path = tmp_path / "ds" / FRAMES_FILE
     blob = bytearray(path.read_bytes())
-    corrupt(np.frombuffer(blob, dtype=record_dtype(1024), offset=16))
+    corrupt(np.frombuffer(blob, dtype=record_dtype(1024), offset=8))
     path.write_bytes(bytes(blob))
     with pytest.raises(CorruptDataset):
         cd.load_dataset(tmp_path / "ds")

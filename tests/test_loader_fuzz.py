@@ -1,6 +1,7 @@
-"""Damaged dataset, model and WAV files must fail with a ChatterError,
-never with another exception."""
+"""Damaged dataset, model, WAV, corpus manifest and label files must fail
+with a ChatterError, never with another exception."""
 
+import json
 import struct
 import warnings
 
@@ -13,6 +14,7 @@ import chatterdetect as cd
 from chatterdetect.dataset import FRAMES_FILE, MANIFEST_FILE
 from chatterdetect.errors import ChatterError, CorruptDataset, CorruptModel
 from chatterdetect.signal_io import LabelInterval, LabelTrack, MachiningClass
+from chatterdetect.synth import MANIFEST_NAME
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -59,6 +61,14 @@ def wav_file(request, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    """A small valid corpus: one 0.2 s signal of each class."""
+    path = tmp_path_factory.mktemp("fuzz") / "corpus"
+    cd.write_corpus(cd.generate_corpus(1, 0.0, [1800.0], seed=3, duration_s=0.2), path)
+    return path
+
+
 @st.composite
 def damaged(draw, blob: bytes, head: int):
     """`blob` with a few bytes overwritten, half of them within the first
@@ -87,7 +97,7 @@ def _load_only_chatter_errors(load, path):
 def test_damaged_frames_file_raises_only_chatter_errors(dataset_dir, data):
     valid = (dataset_dir / FRAMES_FILE).read_bytes()
     try:
-        (dataset_dir / FRAMES_FILE).write_bytes(data.draw(damaged(valid, head=16 + 20)))
+        (dataset_dir / FRAMES_FILE).write_bytes(data.draw(damaged(valid, head=8 + 20)))
         _load_only_chatter_errors(cd.load_dataset, dataset_dir)
     finally:
         (dataset_dir / FRAMES_FILE).write_bytes(valid)
@@ -130,20 +140,36 @@ def test_damaged_wav_file_raises_only_chatter_errors(wav_file, data):
         wav_file.write_bytes(valid)
 
 
+@pytest.mark.parametrize("name", [MANIFEST_NAME, "chatter-0000.labels.csv"])
+@FUZZ
+@given(data=st.data())
+def test_damaged_corpus_file_raises_only_chatter_errors(corpus_dir, name, data):
+    path = corpus_dir / name
+    valid = path.read_bytes()
+    try:
+        path.write_bytes(data.draw(damaged(valid, head=len(valid))))
+        _load_only_chatter_errors(cd.read_corpus, corpus_dir)
+    finally:
+        path.write_bytes(valid)
+
+
 @pytest.mark.parametrize(
     "n_lines,n_samples",
-    # sized to match the header: one 20-byte record, or none
+    # sized to match the manifest: one 20-byte record, or none
     [(0, 1), (2**29, 0), (2**31, 0)],
 )
 def test_unusable_line_count_is_corrupt(dataset_dir, n_lines, n_samples):
-    path = dataset_dir / FRAMES_FILE
-    valid = path.read_bytes()
+    frames, manifest = dataset_dir / FRAMES_FILE, dataset_dir / MANIFEST_FILE
+    valid_frames, valid_manifest = frames.read_bytes(), manifest.read_text()
     try:
-        path.write_bytes(valid[:8] + struct.pack("<II", n_lines, n_samples) + bytes(20 * n_samples))
+        edited = json.loads(valid_manifest) | {"n_lines": n_lines, "n_samples": n_samples}
+        manifest.write_text(json.dumps(edited))
+        frames.write_bytes(valid_frames[:8] + bytes(20 * n_samples))
         with pytest.raises(CorruptDataset):
             cd.load_dataset(dataset_dir)
     finally:
-        path.write_bytes(valid)
+        frames.write_bytes(valid_frames)
+        manifest.write_text(valid_manifest)
 
 
 def test_non_utf8_manifest_is_corrupt(dataset_dir):

@@ -234,9 +234,13 @@ def test_helpers_run_off_the_callers_cpu(monkeypatch, small_dataset):
     model = cd.build_model(0)
     masks = {}
     forward = model.layers[0].forward
+    # either thread could take both blocks before the other starts, so each
+    # block waits for the other: the caller and the helper run one apiece
+    both_taken = threading.Barrier(2, timeout=30)
 
     def recording(x, *args, **kwargs):
         masks[threading.current_thread() is threading.main_thread()] = os.sched_getaffinity(0)
+        both_taken.wait()
         return forward(x, *args, **kwargs)
 
     monkeypatch.setattr(model.layers[0], "forward", recording)

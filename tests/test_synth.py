@@ -221,7 +221,7 @@ def test_labels_cover_the_whole_signal(tmp_path, duration_s, n_frames):
     for corpus in (items, cd.read_corpus(tmp_path)):
         pairs = [(it.signal, it.labels, it.ambiguous) for it in corpus]
         ds = cd.build_dataset(pairs, CFG, test_fraction=0.0)
-        assert ds.manifest["dropped_frames"] == "0"
+        assert ds.manifest["dropped_frames"] == 0
         assert len(ds) == len(corpus) * n_frames
 
 
@@ -236,7 +236,7 @@ def test_corpus_read_back_from_its_files_builds_the_same_dataset(tmp_path):
         for corpus in (items, cd.read_corpus(tmp_path))
     ]
     assert built[0].manifest == built[1].manifest
-    assert built[0].manifest["dropped_frames"] == "0"
+    assert built[0].manifest["dropped_frames"] == 0
     # the lines differ by the WAV's quantization; every other field is equal
     for key in ["source", "frame_index", "t_start", "label", "split"]:
         assert built[0].records[key].tobytes() == built[1].records[key].tobytes()
@@ -308,6 +308,14 @@ def test_malformed_corpus_manifest_is_io_failure(tmp_path, small_corpus, damage)
     with pytest.raises(IoFailure) as info:
         cd.read_corpus(tmp_path)
     assert str(info.value).startswith(f"cannot read {tmp_path / MANIFEST_NAME}: ")
+
+
+def test_deeply_nested_corpus_manifest_is_io_failure(tmp_path, small_corpus):
+    # json gives up past the recursion limit with a RecursionError
+    cd.write_corpus(small_corpus[:1], tmp_path)
+    (tmp_path / MANIFEST_NAME).write_text("[" * 100_000)
+    with pytest.raises(IoFailure, match="RecursionError"):
+        cd.read_corpus(tmp_path)
 
 
 def test_read_corpus_without_manifest(tmp_path):
